@@ -13,10 +13,9 @@
 // pull traversal buys with it.  The queue pays per-element synchronization,
 // and message passing pays per-superstep message assembly on top.
 //
-// The frontier-generation contention sweep (BM_FrontierGeneration/*)
-// additionally quantifies the publication-strategy axis: per-element
-// locking (Listing 3) vs chunk-bulk locking vs lock-free scan compaction,
-// at 1..8 threads.
+// The frontier-publication contention sweep (BM_FrontierGeneration/*)
+// additionally quantifies what scan compaction buys over per-element
+// locking (Listing 3), at 1..8 threads.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -133,19 +132,21 @@ void BM_MessagePassingFrontierExchange(benchmark::State& state) {
                           static_cast<long long>(active.size()));
 }
 
-// --- frontier-generation contention sweep -----------------------------------
+// --- frontier-publication contention sweep ----------------------------------
 //
-// Experiment for the communication pillar's scan-compaction claim: publish
-// 2^20 elements into a sparse frontier under the three generation
-// strategies, at 1..8 worker threads.  The workload is emission-bound (the
-// producer body does no other work), so this isolates publication cost:
-//  - listing3 (per-element spinlock) should *degrade* as threads are added
-//    (the lock serializes and coherence traffic grows);
-//  - bulk (one lock per chunk) should stay roughly flat;
-//  - scan (lane buffers + prefix-sum compaction) should scale with threads,
-//    since the output path takes no locks or atomics at all.
-// Throughput is items/sec — read the cross-strategy ratio at each thread
-// count.
+// Experiment for the communication pillar's scan-compaction claim: one
+// full-frontier advance over a uniform random graph (2^16 vertices, 2^20
+// edges) whose condition accepts every edge, so every inspected edge is
+// one emission, at 1..8 worker threads.  The body does little besides
+// emit, so this isolates publication cost:
+//  - listing3 (`neighbors_expand_listing3`, per-element spinlock) should
+//    *degrade* as threads are added (the lock serializes and coherence
+//    traffic grows);
+//  - scan (`advance_push(par)`, lane buffers + prefix-sum compaction)
+//    should scale with threads, since the output path takes no locks or
+//    atomics at all.
+// Throughput is items (emissions)/sec — read the scan/listing3 ratio at
+// each thread count.
 
 e::parallel::thread_pool& pool_with(std::size_t threads) {
   // Pool of `threads` lanes total: the coordinating thread plus
@@ -157,22 +158,35 @@ e::parallel::thread_pool& pool_with(std::size_t threads) {
   return *slot;
 }
 
-template <e::execution::frontier_gen Mode>
+e::graph::graph_csr const& emit_graph() {
+  static auto const g = e::graph::from_coo<e::graph::graph_csr>(
+      e::generators::erdos_renyi(/*n=*/1 << 16, /*m=*/1u << 20, {}, 7));
+  return g;
+}
+
+template <bool Listing3>
 void BM_FrontierGeneration(benchmark::State& state) {
-  std::size_t const n = 1u << 20;
+  auto const& g = emit_graph();
   std::size_t const threads = static_cast<std::size_t>(state.range(0));
-  auto& pool = pool_with(threads);
-  fr::sparse_frontier<e::vertex_t> out;
+  e::execution::parallel_policy const policy(pool_with(threads));
+  std::vector<e::vertex_t> all(static_cast<std::size_t>(g.get_num_vertices()));
+  for (std::size_t v = 0; v < all.size(); ++v)
+    all[v] = static_cast<e::vertex_t>(v);
+  fr::sparse_frontier<e::vertex_t> const in(std::move(all));
+  auto const always = [](e::vertex_t, e::vertex_t, e::edge_t, e::weight_t) {
+    return true;
+  };
+  std::size_t emitted = 0;
   for (auto _ : state) {
-    fr::generate(
-        Mode, pool, n, e::execution::default_grain, out,
-        [](std::size_t lo, std::size_t hi, auto&& emit) {
-          for (std::size_t i = lo; i < hi; ++i)
-            emit(static_cast<e::vertex_t>(i));
-        });
-    benchmark::DoNotOptimize(out.size());
+    auto const out =
+        Listing3
+            ? e::operators::neighbors_expand_listing3(policy, g, in, always)
+            : e::operators::advance_push(policy, g, in, always);
+    emitted = out.size();
+    benchmark::DoNotOptimize(emitted);
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long long>(n));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long long>(emitted));
 }
 
 void BM_FrontierGenerationScanDedup(benchmark::State& state) {
@@ -195,13 +209,10 @@ void BM_FrontierGenerationScanDedup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(n));
 }
 
-BENCHMARK(BM_FrontierGeneration<e::execution::frontier_gen::listing3>)
+BENCHMARK(BM_FrontierGeneration<true>)
     ->Name("BM_FrontierGeneration/listing3")
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK(BM_FrontierGeneration<e::execution::frontier_gen::bulk>)
-    ->Name("BM_FrontierGeneration/bulk")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK(BM_FrontierGeneration<e::execution::frontier_gen::scan>)
+BENCHMARK(BM_FrontierGeneration<false>)
     ->Name("BM_FrontierGeneration/scan")
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_FrontierGenerationScanDedup)->Arg(1)->Arg(4)->Arg(8);

@@ -1,10 +1,9 @@
 // bench_operators — operator-level ablations of the design choices
 // DESIGN.md calls out, anchored on paper Listing 3:
 //
-//  - per-discovery mutex (the literal Listing 3 formulation) vs lane-local
-//    buffers with bulk publication (the pre-scan default) vs lock-free
-//    scan compaction (the current default) — what short critical sections
-//    buy, and then what eliminating the lock entirely buys on top;
+//  - per-discovery mutex (the literal Listing 3 formulation) vs lock-free
+//    scan compaction (what every synchronous operator publishes with) —
+//    what eliminating the output lock buys;
 //  - uniquify by sort vs by claim-bitmap — the frontier-dedup strategy
 //    trade (O(F log F) comparison sort vs O(F) + O(V) bitmap);
 //  - sparse-output vs dense-output advance — paying bitmap writes to get
@@ -16,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -63,17 +63,6 @@ void BM_AdvanceScanCompaction(benchmark::State& state) {
         op::advance_push(e::execution::par, graph(), in, always).size());
 }
 
-void BM_AdvanceBulkBuffered(benchmark::State& state) {
-  // Ablation: lane-local buffers published under one spinlock per chunk
-  // (the pre-scan default), pinned explicitly now that `par` means scan.
-  auto const in = frontier_of(static_cast<std::size_t>(state.range(0)));
-  auto const policy =
-      e::execution::par.with_frontier(e::execution::frontier_gen::bulk);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        op::advance_push(policy, graph(), in, always).size());
-}
-
 void BM_AdvanceScanDedup(benchmark::State& state) {
   // Scan + claim-bitmap dedup: the output is a set; measures the bitmap's
   // cost against BM_AdvanceScanCompaction's multiset output.
@@ -103,7 +92,7 @@ void BM_AdvanceDenseOutput(benchmark::State& state) {
 void BM_AdvanceEdgeBalanced(benchmark::State& state) {
   // §IV-C load balancing ablation: edges (not vertices) are the unit of
   // work, so a hub vertex no longer serializes one lane.  Compare with
-  // BM_AdvanceBulkBuffered (thread-mapped) on the same skewed frontier.
+  // BM_AdvanceScanCompaction (thread-mapped) on the same skewed frontier.
   auto const in = frontier_of(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(
@@ -213,8 +202,6 @@ BENCHMARK(BM_AdvanceScanCompaction)->Arg(1 << 8)->Arg(1 << 12)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AdvanceScanDedup)->Arg(1 << 8)->Arg(1 << 12)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AdvanceBulkBuffered)->Arg(1 << 8)->Arg(1 << 12)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AdvanceListing3Mutex)->Arg(1 << 8)->Arg(1 << 12)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AdvanceDenseOutput)->Arg(1 << 8)->Arg(1 << 12)
@@ -229,6 +216,69 @@ BENCHMARK(BM_CompressedVsFlatTraversal)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExclusiveScan)->Arg(1 << 16)->Arg(1 << 22);
 
+/// Per-strategy timing summary over repeated rounds, in seconds per call.
+struct timing {
+  double median_s = 0.0;
+  double iqr_s = 0.0;  ///< p75 - p25
+};
+
+/// Quantile of sorted `v` by linear interpolation between closest ranks.
+double quantile(std::vector<double> const& v, double q) {
+  double const pos = q * static_cast<double>(v.size() - 1);
+  std::size_t const lo = static_cast<std::size_t>(pos);
+  std::size_t const hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// Time `reps` rounds of every run, interleaved: each round times `calls`
+/// back-to-back calls of every run, in order, so a slow phase of the host
+/// lands on all strategies alike instead of on whichever one happened to
+/// own that stretch.  Returns per-call seconds; gates compare the
+/// per-strategy medians.
+std::vector<timing> interleaved_timings(
+    std::vector<std::function<void()>> const& runs, int reps, int calls) {
+  std::vector<std::vector<double>> samples(runs.size());
+  for (int r = 0; r < reps; ++r)
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      auto const t0 = std::chrono::steady_clock::now();
+      for (int c = 0; c < calls; ++c)
+        runs[i]();
+      samples[i].push_back(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count() /
+                           calls);
+    }
+  std::vector<timing> out;
+  for (auto& v : samples) {
+    std::sort(v.begin(), v.end());
+    out.push_back({quantile(v, 0.5), quantile(v, 0.75) - quantile(v, 0.25)});
+  }
+  return out;
+}
+
+/// Edges inspected by one call of `run`, read from telemetry (the call
+/// doubles as the warm-up for the timed rounds).
+std::size_t edges_of(std::function<void()> const& run,
+                     e::telemetry::trace& t) {
+  {
+    e::telemetry::scoped_recording rec(t, "warmup");
+    run();
+  }
+  return t.total_edges_inspected();
+}
+
+/// Repetition plan for the BENCH_*.json sweeps below: 31 interleaved
+/// rounds of 10 back-to-back calls per strategy.  Single calls on these
+/// frontiers take ~0.1-0.3 ms, short enough for one wake-up stall to
+/// decide a sample; batching and the median keep the hub-frontier ratios
+/// within a few percent from run to run on a 4-core host.
+constexpr int timing_reps = 31;
+constexpr int timing_calls = 10;
+
+double rate(std::size_t edges, double seconds) {
+  return seconds > 0 ? static_cast<double>(edges) / seconds : 0.0;
+}
+
 }  // namespace
 
 // Custom main (replaces BENCHMARK_MAIN): after the timing run, re-execute
@@ -236,9 +286,10 @@ BENCHMARK(BM_ExclusiveScan)->Arg(1 << 16)->Arg(1 << 22);
 // the traces next to the timing output — so every benchmark run leaves a
 // machine-readable record of the *work* (edges inspected/relaxed, pool
 // occupancy, lock-free vs locked emits) behind the timings.  A second
-// artifact, BENCH_frontier.json, reports edges/sec for the three
-// frontier-generation strategies on the largest seeded frontier (timed over
-// several repetitions, work counts from telemetry) — the headline
+// artifact, BENCH_frontier.json, reports edges/sec for scan compaction
+// (`advance_push(par)`) against the per-element lock of
+// `neighbors_expand_listing3` on the largest seeded frontier (median of
+// interleaved repetitions, work counts from telemetry) — the headline
 // scan-vs-lock number CI uploads.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
@@ -260,11 +311,6 @@ int main(int argc, char** argv) {
   record("advance_push.scan_dedup", [&] {
     op::advance_push(e::execution::par.with_dedup(), graph(), in, always);
   });
-  record("advance_push.bulk_buffered", [&] {
-    op::advance_push(
-        e::execution::par.with_frontier(e::execution::frontier_gen::bulk),
-        graph(), in, always);
-  });
   record("advance_push.listing3_mutex", [&] {
     op::neighbors_expand_listing3(e::execution::par, graph(), in, always);
   });
@@ -283,38 +329,40 @@ int main(int argc, char** argv) {
   std::printf("telemetry: wrote %s (%zu traces)\n", path, traces.size());
 
   // --- BENCH_frontier.json: edges/sec, lock vs scan, largest frontier ------
+  namespace ex = e::execution;
   struct strategy_result {
     char const* name;
     double edges_per_sec;
+    timing time;
     std::size_t edges;
     std::size_t emits_scan;
     std::size_t emits_lock;
   };
-  std::vector<strategy_result> results;
-  auto const measure = [&](char const* name, auto&& policy) {
-    constexpr int reps = 10;
-    e::telemetry::trace t;
-    auto const t0 = std::chrono::steady_clock::now();
-    {
-      e::telemetry::scoped_recording rec(t, name);
-      for (int r = 0; r < reps; ++r)
+  std::vector<char const*> const gen_names{"scan",
+                                           "neighbors_expand_listing3"};
+  std::vector<std::function<void()>> const gen_runs{
+      [&] {
         benchmark::DoNotOptimize(
-            op::advance_push(policy, graph(), in, always).size());
-    }
-    auto const dt = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    results.push_back({name,
-                       dt > 0 ? static_cast<double>(t.total_edges_inspected()) / dt
-                              : 0.0,
-                       t.total_edges_inspected() / reps,
-                       t.total_emits_scan() / reps,
-                       t.total_emits_lock() / reps});
-  };
-  namespace ex = e::execution;
-  measure("scan", ex::par);
-  measure("bulk", ex::par.with_frontier(ex::frontier_gen::bulk));
-  measure("listing3", ex::par.with_frontier(ex::frontier_gen::listing3));
+            op::advance_push(ex::par, graph(), in, always).size());
+      },
+      [&] {
+        benchmark::DoNotOptimize(
+            op::neighbors_expand_listing3(ex::par, graph(), in, always)
+                .size());
+      }};
+  std::vector<strategy_result> results;
+  for (std::size_t i = 0; i < gen_runs.size(); ++i) {
+    e::telemetry::trace t;
+    std::size_t const edges = edges_of(gen_runs[i], t);
+    results.push_back({gen_names[i], 0.0, {}, edges, t.total_emits_scan(),
+                       t.total_emits_lock()});
+  }
+  auto const gen_times =
+      interleaved_timings(gen_runs, timing_reps, timing_calls);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    results[i].time = gen_times[i];
+    results[i].edges_per_sec = rate(results[i].edges, gen_times[i].median_s);
+  }
 
   // Representation footprint: what the same graph costs as block-coded CSR
   // (the storage tier the operators can run on directly) next to the plain
@@ -329,20 +377,24 @@ int main(int argc, char** argv) {
   char const* const fpath = "BENCH_frontier.json";
   if (std::FILE* f = std::fopen(fpath, "w")) {
     std::fprintf(f,
-                 "{\n  \"bench\": \"frontier_generation\",\n"
+                 "{\n  \"bench\": \"frontier_publication\",\n"
                  "  \"graph\": {\"kind\": \"rmat\", \"scale\": 12, "
                  "\"edge_factor\": 16, \"vertices\": %lld, \"edges\": %lld},\n"
-                 "  \"frontier_size\": %zu,\n  \"strategies\": [\n",
+                 "  \"frontier_size\": %zu,\n  \"reps\": %d,\n"
+                 "  \"strategies\": [\n",
                  static_cast<long long>(graph().get_num_vertices()),
-                 static_cast<long long>(graph().get_num_edges()), in.size());
+                 static_cast<long long>(graph().get_num_edges()), in.size(),
+                 timing_reps);
     for (std::size_t i = 0; i < results.size(); ++i) {
       auto const& r = results[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"edges_per_sec\": %.0f, "
+                   "\"median_ms\": %.3f, \"iqr_ms\": %.3f, "
                    "\"edges_inspected\": %zu, \"emits_scan\": %zu, "
                    "\"emits_lock\": %zu}%s\n",
-                   r.name, r.edges_per_sec, r.edges, r.emits_scan,
-                   r.emits_lock, i + 1 < results.size() ? "," : "");
+                   r.name, r.edges_per_sec, r.time.median_s * 1e3,
+                   r.time.iqr_s * 1e3, r.edges, r.emits_scan, r.emits_lock,
+                   i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f,
                  "  ],\n"
@@ -353,7 +405,8 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("bench: wrote %s\n", fpath);
     for (auto const& r : results)
-      std::printf("  %-9s %12.0f edges/sec\n", r.name, r.edges_per_sec);
+      std::printf("  %-26s %12.0f edges/sec (median of %d)\n", r.name,
+                  r.edges_per_sec, timing_reps);
     std::printf("  footprint: %.3f bytes/edge compressed (ratio %.3f), rss %.1f MiB\n",
                 bytes_per_edge, bytes_ratio,
                 static_cast<double>(rss) / (1024.0 * 1024.0));
@@ -364,8 +417,9 @@ int main(int argc, char** argv) {
 
   // --- BENCH_loadbalance.json: the work-decomposition strategy sweep -------
   //
-  // Edges/sec for every execution::load_balance strategy on the two frontier
-  // shapes that bracket the decision space — the 256-hub skewed frontier
+  // Edges/sec (from the median of interleaved repetitions) for every
+  // execution::load_balance strategy on the two frontier shapes that
+  // bracket the decision space — the 256-hub skewed frontier
   // (where thread mapping serializes on celebrity vertices) and a uniform
   // stride-sampled frontier (where decomposition overhead is pure cost) —
   // plus the parallel-vs-serial degree-scan headline on a >= 64k-element
@@ -401,32 +455,28 @@ int main(int argc, char** argv) {
     struct lb_result {
       char const* name;
       double edges_per_sec;
+      timing time;
     };
     auto const sweep = [&](fr::sparse_frontier<e::vertex_t> const& f) {
-      std::vector<lb_result> out;
-      for (auto const lb :
-           {lbx::load_balance::thread_mapped, lbx::load_balance::edge_balanced,
-            lbx::load_balance::degree_class, lbx::load_balance::auto_select}) {
-        constexpr int reps = 10;
+      std::vector<lbx::load_balance> const strategies{
+          lbx::load_balance::thread_mapped, lbx::load_balance::edge_balanced,
+          lbx::load_balance::degree_class, lbx::load_balance::auto_select};
+      std::vector<std::function<void()>> runs;
+      for (auto const lb : strategies)
+        runs.push_back([&f, policy = lbx::par.with_load_balance(lb)] {
+          benchmark::DoNotOptimize(
+              op::advance_balanced(policy, graph(), f, always).size());
+        });
+      std::vector<std::size_t> edges;
+      for (auto const& run : runs) {
         e::telemetry::trace t;
-        auto const t0 = std::chrono::steady_clock::now();
-        {
-          e::telemetry::scoped_recording rec(t, "lb");
-          for (int r = 0; r < reps; ++r)
-            benchmark::DoNotOptimize(
-                op::advance_balanced(lbx::par.with_load_balance(lb), graph(),
-                                     f, always)
-                    .size());
-        }
-        auto const dt = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-        out.push_back(
-            {lbx::to_string(lb),
-             dt > 0
-                 ? static_cast<double>(t.total_edges_inspected()) / dt
-                 : 0.0});
+        edges.push_back(edges_of(run, t));
       }
+      auto const times = interleaved_timings(runs, timing_reps, timing_calls);
+      std::vector<lb_result> out;
+      for (std::size_t i = 0; i < runs.size(); ++i)
+        out.push_back({lbx::to_string(strategies[i]),
+                       rate(edges[i], times[i].median_s), times[i]});
       return out;
     };
     auto const hubs = hub_frontier(256);
@@ -492,8 +542,11 @@ int main(int argc, char** argv) {
       std::fprintf(lf, "  \"%s\": {\"frontier_size\": %zu, \"strategies\": [\n",
                    key, fsize);
       for (std::size_t i = 0; i < rs.size(); ++i)
-        std::fprintf(lf, "    {\"name\": \"%s\", \"edges_per_sec\": %.0f}%s\n",
+        std::fprintf(lf,
+                     "    {\"name\": \"%s\", \"edges_per_sec\": %.0f, "
+                     "\"median_ms\": %.3f, \"iqr_ms\": %.3f}%s\n",
                      rs[i].name, rs[i].edges_per_sec,
+                     rs[i].time.median_s * 1e3, rs[i].time.iqr_s * 1e3,
                      i + 1 < rs.size() ? "," : "");
       std::fprintf(lf, "  ]}%s\n", tail);
     };

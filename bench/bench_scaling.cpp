@@ -9,16 +9,13 @@
 // the same binary shows the real curve on real hardware.
 //
 // The custom main (replacing BENCHMARK_MAIN) writes BENCH_scaling.json for
-// CI: best-of-N advance latency on rmat-12 at 1/2/4/8 threads on the
-// stealing substrate, plus stealing-vs-central at 8 threads.  Two bars are
+// CI: best-of-N advance latency on rmat-12 at 1/2/4/8 threads.  One bar is
 // enforced like the existing frontier/engine/delta bars:
 //  - scaling-efficiency floor: >= 3.5x speedup at 8 threads over 1, gated
 //    on hardware_concurrency() >= 8 (a 1-core container cannot scale);
 //    ESSENTIALS_SCALING_FLOOR overrides the floor (0 disables).
-//  - substrate parity: the stealing pool beats-or-matches the central
-//    queue at 8 threads (>= 0.85x throughput, absorbing noise), gated on
-//    hardware_concurrency() >= 4.
-// The process exits nonzero when an enforced bar fails.
+// The process exits nonzero when an enforced bar fails (this one or the
+// steal-order bar below).
 //
 // It also writes BENCH_numa.json: the discovered machine topology, a
 // per-socket scaling curve on the tiered-stealing substrate (degenerate
@@ -149,7 +146,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // --- BENCH_scaling.json: advance strong scaling + substrate parity ------
+  // --- BENCH_scaling.json: advance strong scaling -------------------------
   std::size_t const hw = std::thread::hardware_concurrency();
 
   std::vector<e::vertex_t> seeds;
@@ -160,24 +157,15 @@ int main(int argc, char** argv) {
   struct point {
     std::size_t threads;
     double best_sec;
-    double speedup;  // vs the 1-thread stealing pool
+    double speedup;  // vs the 1-thread pool
   };
   std::vector<point> curve;
   for (std::size_t t : {1u, 2u, 4u, 8u}) {
-    e::parallel::thread_pool pool(t, e::parallel::queue_mode::stealing);
+    e::parallel::thread_pool pool(t);
     curve.push_back({t, measure_advance(pool, in), 0.0});
   }
   for (auto& p : curve)
     p.speedup = p.best_sec > 0 ? curve.front().best_sec / p.best_sec : 0.0;
-
-  double central_sec;
-  {
-    e::parallel::thread_pool central(8, e::parallel::queue_mode::central);
-    central_sec = measure_advance(central, in);
-  }
-  double const stealing_sec = curve.back().best_sec;
-  double const parity =
-      stealing_sec > 0 ? central_sec / stealing_sec : 0.0;  // >1: stealing wins
 
   double floor = 3.5;
   bool floor_enforced = hw >= 8;
@@ -185,8 +173,6 @@ int main(int argc, char** argv) {
     floor = std::atof(env);
     floor_enforced = floor > 0.0;
   }
-  bool const parity_enforced = hw >= 4;
-  constexpr double parity_bar = 0.85;
 
   char const* const path = "BENCH_scaling.json";
   if (std::FILE* f = std::fopen(path, "w")) {
@@ -197,13 +183,10 @@ int main(int argc, char** argv) {
                  "\"edge_factor\": 16, \"vertices\": %lld, \"edges\": %lld},\n"
                  "  \"hardware_concurrency\": %zu,\n"
                  "  \"floor_speedup_8t\": %.2f,\n"
-                 "  \"floor_enforced\": %s,\n"
-                 "  \"parity_bar\": %.2f,\n"
-                 "  \"parity_enforced\": %s,\n  \"threads\": [\n",
+                 "  \"floor_enforced\": %s,\n  \"threads\": [\n",
                  static_cast<long long>(artifact_graph().get_num_vertices()),
                  static_cast<long long>(artifact_graph().get_num_edges()), hw,
-                 floor, floor_enforced ? "true" : "false", parity_bar,
-                 parity_enforced ? "true" : "false");
+                 floor, floor_enforced ? "true" : "false");
     for (std::size_t i = 0; i < curve.size(); ++i) {
       auto const& p = curve[i];
       std::fprintf(f,
@@ -212,10 +195,7 @@ int main(int argc, char** argv) {
                    p.threads, p.best_sec * 1e3, p.speedup,
                    i + 1 < curve.size() ? "," : "");
     }
-    std::fprintf(f,
-                 "  ],\n  \"substrates_8t\": {\"stealing_ms\": %.3f, "
-                 "\"central_ms\": %.3f, \"central_over_stealing\": %.3f}\n}\n",
-                 stealing_sec * 1e3, central_sec * 1e3, parity);
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
   } else {
     std::fprintf(stderr, "failed to write %s\n", path);
@@ -225,8 +205,6 @@ int main(int argc, char** argv) {
   for (auto const& p : curve)
     std::printf("  %zu threads: %8.3f ms  (%.2fx)\n", p.threads,
                 p.best_sec * 1e3, p.speedup);
-  std::printf("  8t substrates: stealing %.3f ms, central %.3f ms (%.2fx)\n",
-              stealing_sec * 1e3, central_sec * 1e3, parity);
 
   // --- BENCH_numa.json: topology, per-socket curve, steal-order parity,
   // first-touch bandwidth ---------------------------------------------------
@@ -247,8 +225,7 @@ int main(int argc, char** argv) {
   std::vector<socket_point> socket_curve;
   for (std::size_t s = 1; s <= sockets; ++s) {
     std::size_t const t = s * cores_per_socket;
-    e::parallel::thread_pool pool(t, e::parallel::queue_mode::stealing,
-                                  e::parallel::steal_order::tiered);
+    e::parallel::thread_pool pool(t, e::parallel::steal_order::tiered);
     socket_curve.push_back({s, t, measure_advance(pool, in), 0.0});
   }
   for (auto& p : socket_curve)
@@ -261,13 +238,11 @@ int main(int argc, char** argv) {
   // is no topology".
   double tiered_sec, flat_sec;
   {
-    e::parallel::thread_pool pool(8, e::parallel::queue_mode::stealing,
-                                  e::parallel::steal_order::tiered);
+    e::parallel::thread_pool pool(8, e::parallel::steal_order::tiered);
     tiered_sec = measure_advance(pool, in);
   }
   {
-    e::parallel::thread_pool pool(8, e::parallel::queue_mode::stealing,
-                                  e::parallel::steal_order::flat);
+    e::parallel::thread_pool pool(8, e::parallel::steal_order::flat);
     flat_sec = measure_advance(pool, in);
   }
   double const steal_parity =
@@ -281,8 +256,7 @@ int main(int argc, char** argv) {
   std::size_t const fill_n = std::size_t{1} << 23;  // 64 MiB of doubles
   double ft_sec = 1e300, ct_sec = 1e300;
   {
-    e::parallel::thread_pool pool(8, e::parallel::queue_mode::stealing,
-                                  e::parallel::steal_order::tiered);
+    e::parallel::thread_pool pool(8, e::parallel::steal_order::tiered);
     for (int s = 0; s < 3; ++s) {
       auto const t0 = std::chrono::steady_clock::now();
       auto v = e::parallel::first_touch_vector<double>(pool, fill_n, 0.0,
@@ -361,13 +335,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: 8-thread speedup %.2fx below the %.2fx floor\n",
                  curve.back().speedup, floor);
-    ++failures;
-  }
-  if (parity_enforced && parity < parity_bar) {
-    std::fprintf(stderr,
-                 "FAIL: stealing substrate at %.2fx of central throughput "
-                 "(bar %.2fx)\n",
-                 parity, parity_bar);
     ++failures;
   }
   if (steal_parity_enforced && steal_parity < steal_parity_bar) {

@@ -35,26 +35,6 @@
 
 namespace essentials::execution {
 
-/// How parallel operators publish discovered elements into a sparse output
-/// frontier — the "frontier as execution policy" knob (paper Table I):
-///
-///  - `scan`     — lock-free two-phase generation: workers emit into
-///                 cache-line-padded lane buffers, an exclusive prefix sum
-///                 over lane counts assigns each lane a disjoint slice of
-///                 the preallocated output, and lanes copy in with no locks
-///                 or atomics.  Deterministic output order.  The default.
-///  - `bulk`     — lane-local buffers published with one spinlock
-///                 acquisition per chunk (CP.43 short critical section) —
-///                 the pre-scan default, kept as an ablation baseline.
-///  - `listing3` — paper Listing 3 verbatim: every discovered element is
-///                 appended under the frontier's per-element lock.  The
-///                 ablation baseline that quantifies what buffering buys.
-///
-/// Asynchronous (`par_nosync`) operators have no superstep barrier to run
-/// the compaction phase behind, so `scan` degrades to `bulk` there —
-/// semantics are unchanged, only the publication cost differs.
-enum class frontier_gen : unsigned char { scan, bulk, listing3 };
-
 /// Multi-query batching knob, consumed by the engine's dequeue-time fusion
 /// window (engine/batcher.hpp) and the batchable job builders
 /// (engine/batch_jobs.hpp):
@@ -187,9 +167,6 @@ class parallel_policy {
   /// `default_edge_grain_floor`); seeded from `ESSENTIALS_EDGE_GRAIN`.
   std::size_t edge_grain_floor = edge_grain_floor_from_env();
 
-  /// Sparse-frontier generation strategy (see `frontier_gen`).
-  frontier_gen frontier = frontier_gen::scan;
-
   /// Work-decomposition strategy for `operators::advance_balanced` (see
   /// `load_balance`).  `thread_mapped` preserves the historical advance
   /// behavior; `auto_select` re-decides every superstep.
@@ -203,7 +180,7 @@ class parallel_policy {
   bool dedup = false;
 
   // Builder-style copies, so the const `execution::par` instance composes:
-  //   auto p = execution::par.with_frontier(frontier_gen::bulk).with_dedup();
+  //   auto p = execution::par.with_edge_grain(32).with_dedup();
   parallel_policy with_grain(std::size_t g) const {
     auto p = *this;
     p.grain = g;
@@ -212,11 +189,6 @@ class parallel_policy {
   parallel_policy with_edge_grain(std::size_t g) const {
     auto p = *this;
     p.edge_grain = g;
-    return p;
-  }
-  parallel_policy with_frontier(frontier_gen f) const {
-    auto p = *this;
-    p.frontier = f;
     return p;
   }
   parallel_policy with_dedup(bool on = true) const {
@@ -257,11 +229,9 @@ class parallel_nosync_policy {
   std::size_t grain = default_grain;
   std::size_t edge_grain = default_edge_grain;
 
-  /// Publication strategy for the caller-owned output frontier.  `scan`
-  /// requires a barrier and therefore behaves as `bulk` here (documented
-  /// degradation); `listing3` is honored for ablations.
-  frontier_gen frontier = frontier_gen::scan;
-
+  /// Sparse outputs are published per task with one locked append: there
+  /// is no barrier behind which to run scan compaction.
+  ///
   /// Claim-bitmap dedup is not offered asynchronously: without a superstep
   /// boundary there is no safe point to reset the bitmap, so duplicate
   /// suppression belongs to the algorithm's own visited state.  Load
@@ -277,11 +247,6 @@ class parallel_nosync_policy {
   parallel_nosync_policy with_edge_grain(std::size_t g) const {
     auto p = *this;
     p.edge_grain = g;
-    return p;
-  }
-  parallel_nosync_policy with_frontier(frontier_gen f) const {
-    auto p = *this;
-    p.frontier = f;
     return p;
   }
 

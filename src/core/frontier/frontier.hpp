@@ -17,7 +17,7 @@
 #include "core/frontier/async_queue_frontier.hpp"
 #include "core/frontier/dense_frontier.hpp"
 #include "core/frontier/distributed_frontier.hpp"
-#include "core/frontier/frontier_gen.hpp"
+#include "core/frontier/generate.hpp"
 #include "core/frontier/sparse_frontier.hpp"
 #include "core/types.hpp"
 

@@ -13,7 +13,7 @@
 ///    operators use to keep the critical section short (CP.43).
 /// The default parallel generation path avoids the lock entirely: operators
 /// build the active vector out-of-band with lane buffers + prefix-sum
-/// compaction (core/frontier/frontier_gen.hpp) and install it via
+/// compaction (core/frontier/generate.hpp) and install it via
 /// `active()` before any reader can observe the frontier.
 
 #include <cstddef>

@@ -21,18 +21,16 @@
 ///    predecessor satisfies the condition.
 ///  - representation: sparse -> sparse, sparse -> dense, dense -> dense.
 ///
-/// Sparse-output generation is itself a policy axis
-/// (`execution::frontier_gen`, dispatched through
-/// core/frontier/frontier_gen.hpp):
-///  - `scan` (default): lane buffers + prefix-sum compaction — zero locks
-///    and zero atomics on the output path, deterministic output order;
-///  - `bulk`: lane-local buffer published under one short lock per chunk
-///    (CP.43) — the previous default, kept as an ablation baseline;
-///  - `listing3`: the paper's per-element-lock formulation
-///    (`neighbors_expand_listing3` forces this mode regardless of policy).
-/// `policy.dedup` additionally suppresses duplicate output vertices with an
-/// atomic claim bitmap (output becomes a set; condition side effects still
-/// run for every relaxing edge).
+/// Synchronous parallel overloads generate sparse outputs with lane buffers
+/// + prefix-sum compaction (`frontier::generate_scan`,
+/// core/frontier/generate.hpp): zero locks and zero atomics on the
+/// output path, deterministic output order.  `par_nosync` has no barrier
+/// to compact behind, so it publishes each task's local buffer with one
+/// short lock (CP.43).  The paper's per-element-lock formulation survives
+/// as one named example, `neighbors_expand_listing3`.  `policy.dedup`
+/// additionally suppresses duplicate output vertices with an atomic claim
+/// bitmap (output becomes a set; condition side effects still run for
+/// every relaxing edge).
 ///
 /// Telemetry: every overload opens a `telemetry::op_probe` and counts
 /// *edges inspected* (condition evaluated) and *edges relaxed* (condition
@@ -73,13 +71,10 @@ inline parallel::atomic_bitset* dedup_filter(
                       : nullptr;
 }
 
-/// Flush a generation round's stats into the operator probe.
+/// Flush a scan-generation round's stats into the operator probe.
 inline void flush_generate_stats(telemetry::op_probe const& probe,
-                                 execution::frontier_gen mode,
                                  frontier::generate_stats const& stats) {
-  bool const lock_free = frontier::lock_free_emits(mode);
-  probe.add_emits(lock_free ? stats.emitted : 0,
-                  lock_free ? 0 : stats.emitted, stats.dedup_hits);
+  probe.add_emits(stats.emitted, 0, stats.dedup_hits);
   probe.set_scratch_reused(stats.scratch_reused);
 }
 
@@ -117,9 +112,8 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push(
 }
 
 /// Parallel synchronous push advance (one BSP superstep).  The sparse
-/// output is generated per `policy.frontier`: scan compaction (default,
-/// lock-free), bulk append (one lock per chunk), or Listing 3 per-element
-/// locking — with optional claim-bitmap dedup (`policy.dedup`).
+/// output is generated by lock-free scan compaction, with optional
+/// claim-bitmap dedup (`policy.dedup`).
 template <typename G, typename Cond>
   requires advance_condition<Cond, G>
 frontier::sparse_frontier<typename G::vertex_type> advance_push(
@@ -132,100 +126,7 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push(
   auto const& active = in.active();
   parallel::atomic_bitset* const dedup = detail::dedup_filter(
       policy, static_cast<std::size_t>(g.get_num_vertices()));
-  auto const stats = frontier::generate(
-      policy.frontier, policy.pool(), active.size(), policy.edge_grain, out,
-      [&](std::size_t lo, std::size_t hi, auto&& emit) {
-        std::size_t inspected = 0, relaxed = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          V const v = active[i];
-          for (auto const e : g.get_edges(v)) {
-            V const n = g.get_dest_vertex(e);
-            auto const w = g.get_edge_weight(e);
-            ++inspected;
-            if (cond(v, n, e, w)) {
-              ++relaxed;
-              emit(n);
-            }
-          }
-        }
-        probe.add_edges(inspected, relaxed);
-      },
-      dedup);
-  detail::flush_generate_stats(probe, policy.frontier, stats);
-  probe.set_items_out(out.size());
-  return out;
-}
-
-/// Parallel asynchronous push advance: chunks are launched and the call
-/// returns immediately; the caller synchronizes via
-/// `policy.pool().wait_idle()` (or not at all).  Output is appended to the
-/// caller-owned `out` frontier.  There is no barrier behind which to run a
-/// compaction phase, so `frontier_gen::scan` degrades to `bulk` (lane
-/// buffer + one locked append per task); `listing3` is honored for
-/// ablations.  The telemetry record retires when the last chunk finishes
-/// (items_out is not sampled — the output is still owned by the caller);
-/// keep any recording scope alive across the eventual `wait_idle()`.
-template <typename G, typename Cond>
-  requires advance_condition<Cond, G>
-void advance_push(execution::parallel_nosync_policy policy, G const& g,
-                  frontier::sparse_frontier<typename G::vertex_type> const& in,
-                  Cond cond,
-                  frontier::sparse_frontier<typename G::vertex_type>& out) {
-  using V = typename G::vertex_type;
-  auto const probe = telemetry::make_probe("advance_push.par_nosync", policy,
-                                           in.size(), /*async=*/true);
-  auto const state = probe.share();  // null when not recording
-  auto const& active = in.active();
-  bool const per_element =
-      policy.frontier == execution::frontier_gen::listing3;
-  parallel::parallel_for_nowait(
-      policy.pool(), std::size_t{0}, active.size(),
-      [&g, &active, &out, cond, state, per_element](std::size_t i) {
-        V const v = active[i];
-        std::vector<V> local;
-        std::size_t inspected = 0, relaxed = 0;
-        for (auto const e : g.get_edges(v)) {
-          V const n = g.get_dest_vertex(e);
-          auto const w = g.get_edge_weight(e);
-          ++inspected;
-          if (cond(v, n, e, w)) {
-            ++relaxed;
-            if (per_element)
-              out.add_vertex(n);  // per-element lock inside the frontier
-            else
-              local.push_back(n);
-          }
-        }
-        if (!per_element)
-          out.append_bulk(local.data(), local.size());
-        telemetry::flush_edges(state, inspected, relaxed);
-        telemetry::flush_emits(state, 0, relaxed);
-      },
-      policy.edge_grain);
-}
-
-/// Paper Listing 3, verbatim semantics: parallel push advance whose output
-/// appends are serialized *per discovered neighbor* — the lock is the one
-/// inside `sparse_frontier::add_vertex` (Listing 3's mutex-protected
-/// `output.add_vertex(n)`), so the baseline exercises the public frontier
-/// API rather than poking `active()` directly.  Equivalent to
-/// `advance_push(policy.with_frontier(frontier_gen::listing3), ...)`; kept
-/// as a named entry point for the operator-ablation bench
-/// (bench_operators) that quantifies what buffering and scan compaction
-/// buy.
-template <typename G, typename Cond>
-  requires advance_condition<Cond, G>
-frontier::sparse_frontier<typename G::vertex_type> neighbors_expand_listing3(
-    execution::parallel_policy policy, G const& g,
-    frontier::sparse_frontier<typename G::vertex_type> const& in, Cond cond) {
-  using V = typename G::vertex_type;
-  auto const probe =
-      telemetry::make_probe("neighbors_expand_listing3.par", policy, in.size());
-  frontier::sparse_frontier<V> out;
-  auto const& active = in.active();
-  parallel::atomic_bitset* const dedup = detail::dedup_filter(
-      policy, static_cast<std::size_t>(g.get_num_vertices()));
-  auto const stats = frontier::generate_listing3(
+  auto const stats = frontier::generate_scan(
       policy.pool(), active.size(), policy.edge_grain, out,
       [&](std::size_t lo, std::size_t hi, auto&& emit) {
         std::size_t inspected = 0, relaxed = 0;
@@ -244,8 +145,98 @@ frontier::sparse_frontier<typename G::vertex_type> neighbors_expand_listing3(
         probe.add_edges(inspected, relaxed);
       },
       dedup);
-  detail::flush_generate_stats(probe, execution::frontier_gen::listing3,
-                               stats);
+  detail::flush_generate_stats(probe, stats);
+  probe.set_items_out(out.size());
+  return out;
+}
+
+/// Parallel asynchronous push advance: chunks are launched and the call
+/// returns immediately; the caller synchronizes via
+/// `policy.pool().wait_idle()` (or not at all).  Output is appended to the
+/// caller-owned `out` frontier.  There is no barrier behind which to run a
+/// compaction phase, so each task buffers locally and publishes with one
+/// locked `append_bulk`.  The telemetry record retires when the last chunk
+/// finishes (items_out is not sampled — the output is still owned by the
+/// caller); keep any recording scope alive across the eventual
+/// `wait_idle()`.
+template <typename G, typename Cond>
+  requires advance_condition<Cond, G>
+void advance_push(execution::parallel_nosync_policy policy, G const& g,
+                  frontier::sparse_frontier<typename G::vertex_type> const& in,
+                  Cond cond,
+                  frontier::sparse_frontier<typename G::vertex_type>& out) {
+  using V = typename G::vertex_type;
+  auto const probe = telemetry::make_probe("advance_push.par_nosync", policy,
+                                           in.size(), /*async=*/true);
+  auto const state = probe.share();  // null when not recording
+  auto const& active = in.active();
+  parallel::parallel_for_nowait(
+      policy.pool(), std::size_t{0}, active.size(),
+      [&g, &active, &out, cond, state](std::size_t i) {
+        V const v = active[i];
+        std::vector<V> local;
+        std::size_t inspected = 0, relaxed = 0;
+        for (auto const e : g.get_edges(v)) {
+          V const n = g.get_dest_vertex(e);
+          auto const w = g.get_edge_weight(e);
+          ++inspected;
+          if (cond(v, n, e, w)) {
+            ++relaxed;
+            local.push_back(n);
+          }
+        }
+        out.append_bulk(local.data(), local.size());
+        telemetry::flush_edges(state, inspected, relaxed);
+        telemetry::flush_emits(state, 0, relaxed);
+      },
+      policy.edge_grain);
+}
+
+/// Paper Listing 3, verbatim semantics: parallel push advance whose output
+/// appends are serialized *per discovered neighbor* — the lock is the one
+/// inside `sparse_frontier::add_vertex` (Listing 3's mutex-protected
+/// `output.add_vertex(n)`), so the example exercises the public frontier
+/// API rather than poking `active()` directly.  Same output multiset as
+/// `advance_push(par, ...)`, in racy order; bench_operators and
+/// bench_frontiers measure it against scan compaction.
+template <typename G, typename Cond>
+  requires advance_condition<Cond, G>
+frontier::sparse_frontier<typename G::vertex_type> neighbors_expand_listing3(
+    execution::parallel_policy policy, G const& g,
+    frontier::sparse_frontier<typename G::vertex_type> const& in, Cond cond) {
+  using V = typename G::vertex_type;
+  auto const probe =
+      telemetry::make_probe("neighbors_expand_listing3.par", policy, in.size());
+  frontier::sparse_frontier<V> out;
+  auto const& active = in.active();
+  parallel::atomic_bitset* const dedup = detail::dedup_filter(
+      policy, static_cast<std::size_t>(g.get_num_vertices()));
+  policy.pool().run_blocked(
+      active.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        std::size_t inspected = 0, relaxed = 0, emitted = 0, hits = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          V const v = active[i];
+          for (auto const e : g.get_edges(v)) {
+            V const n = g.get_dest_vertex(e);
+            auto const w = g.get_edge_weight(e);
+            ++inspected;
+            if (!cond(v, n, e, w))
+              continue;
+            ++relaxed;
+            if (dedup != nullptr &&
+                !dedup->test_and_set(static_cast<std::size_t>(n))) {
+              ++hits;
+              continue;
+            }
+            out.add_vertex(n);  // per-element lock inside the frontier
+            ++emitted;
+          }
+        }
+        probe.add_edges(inspected, relaxed);
+        probe.add_emits(0, emitted, hits);
+      },
+      policy.edge_grain);
   probe.set_items_out(out.size());
   return out;
 }
@@ -418,8 +409,8 @@ frontier::dense_frontier<typename G::vertex_type> advance_pull(
 
 /// Expand a vertex frontier into the frontier of its incident out-edge ids
 /// (vertex-centric -> edge-centric handoff, paper §III-C's edge frontier).
-/// Parallel policies route through the policy's frontier-generation
-/// strategy (edge ids are unique by construction, so dedup never applies).
+/// Parallel policies generate through scan compaction (edge ids are unique
+/// by construction, so dedup never applies).
 template <typename P, typename G>
   requires execution::synchronous_policy<P>
 frontier::sparse_frontier<typename G::edge_type> expand_to_edges(
@@ -439,10 +430,9 @@ frontier::sparse_frontier<typename G::edge_type> expand_to_edges(
     probe.add_edges(count, count);
   };
   if constexpr (std::decay_t<P>::is_parallel) {
-    auto const stats =
-        frontier::generate(policy.frontier, policy.pool(), active.size(),
-                           policy.edge_grain, out, chunk);
-    detail::flush_generate_stats(probe, policy.frontier, stats);
+    auto const stats = frontier::generate_scan(
+        policy.pool(), active.size(), policy.edge_grain, out, chunk);
+    detail::flush_generate_stats(probe, stats);
   } else {
     auto emit = [&out](E e) { out.active().push_back(e); };
     chunk(0, active.size(), emit);
@@ -454,8 +444,8 @@ frontier::sparse_frontier<typename G::edge_type> expand_to_edges(
 /// Edge-centric advance: the input frontier holds CSR edge ids; the
 /// condition sees the usual {src, dst, edge, weight} tuple and a true
 /// return contributes the edge's destination vertex to the output.
-/// Parallel policies route through the policy's frontier-generation
-/// strategy and honor `policy.dedup`.
+/// Parallel policies generate through scan compaction and honor
+/// `policy.dedup`.
 template <typename P, typename G, typename Cond>
   requires execution::synchronous_policy<P> && advance_condition<Cond, G>
 frontier::sparse_frontier<typename G::vertex_type> advance_edges(
@@ -483,10 +473,9 @@ frontier::sparse_frontier<typename G::vertex_type> advance_edges(
     parallel::atomic_bitset* const dedup = detail::dedup_filter(
         policy, static_cast<std::size_t>(g.get_num_vertices()));
     // Edge-centric bodies do O(1) work per index: use the element grain.
-    auto const stats =
-        frontier::generate(policy.frontier, policy.pool(), active.size(),
-                           policy.grain, out, chunk, dedup);
-    detail::flush_generate_stats(probe, policy.frontier, stats);
+    auto const stats = frontier::generate_scan(
+        policy.pool(), active.size(), policy.grain, out, chunk, dedup);
+    detail::flush_generate_stats(probe, stats);
   } else {
     auto emit = [&out](V v) { out.active().push_back(v); };
     chunk(0, active.size(), emit);

@@ -36,12 +36,12 @@
 /// condition evaluations, same output multiset); only the work
 /// decomposition changes — the differential suite
 /// (tests/test_differential.cpp, LoadBalanceDifferential) pins this across
-/// generation strategies, substrates and graph families.  bench_operators
+/// steal orders and graph families.  bench_operators
 /// measures the strategies against each other on skewed frontiers
 /// (BENCH_loadbalance.json).
 ///
-/// Output generation honors the policy's `frontier_gen` strategy and
-/// `dedup` flag exactly like advance_push.  Grains in the edge domain
+/// Output generation uses scan compaction and honors the policy's `dedup`
+/// flag exactly like advance_push.  Grains in the edge domain
 /// (edge-balanced chunks, degree-class medium/huge phases) use
 /// `policy.grain` floored at `policy.edge_grain_floor` (default 64, env
 /// `ESSENTIALS_EDGE_GRAIN`) so tiny grains cannot shred the binary-search
@@ -131,7 +131,7 @@ struct edge_balanced_result {
 /// The edge-balanced expansion core over an arbitrary vertex list, shared
 /// by `advance_push_edge_balanced` (whole frontier) and the degree-class
 /// medium bucket.  Replaces `out`'s contents (it routes through
-/// `frontier::generate`).
+/// `frontier::generate_scan`).
 template <typename G, typename Cond>
 edge_balanced_result edge_balanced_expand(
     execution::parallel_policy const& policy, G const& g,
@@ -204,8 +204,8 @@ edge_balanced_result edge_balanced_expand(
     probe.add_edges(whi - wlo, relaxed);
   };
 
-  r.stats = frontier::generate(
-      policy.frontier, policy.pool(), r.total_work,
+  r.stats = frontier::generate_scan(
+      policy.pool(), r.total_work,
       std::max<std::size_t>(policy.grain, policy.edge_grain_floor), out,
       process_range, dedup);
   return r;
@@ -235,7 +235,7 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push_edge_balanced(
         policy, static_cast<std::size_t>(g.get_num_vertices()));
     auto const r = detail::edge_balanced_expand(policy, g, active.data(), f,
                                                 cond, out, dedup, probe);
-    detail::flush_generate_stats(probe, policy.frontier, r.stats);
+    detail::flush_generate_stats(probe, r.stats);
     // The pooled scratch axis covers both the lane buffers *and* the
     // offsets vector: a warm superstep reuses every allocation.
     probe.set_scratch_reused(r.stats.scratch_reused && r.offsets_warm);
@@ -275,9 +275,8 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push_edge_balanced(
 /// one pass, then expand each class with the decomposition that fits it —
 /// small thread-mapped, medium edge-balanced, huge cooperatively.  The
 /// output is the concatenation small ++ medium ++ huge (each class in
-/// frontier order), deterministic for a fixed pool under
-/// `frontier_gen::scan`; the sequential overload delegates to the reference
-/// `advance_push(seq, ...)` semantics.
+/// frontier order), deterministic for a fixed pool size; the sequential
+/// overload delegates to the reference `advance_push(seq, ...)` semantics.
 template <typename P, typename G, typename Cond>
   requires execution::synchronous_policy<P> && advance_condition<Cond, G>
 frontier::sparse_frontier<typename G::vertex_type> advance_push_degree_class(
@@ -372,8 +371,9 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push_degree_class(
         }
         probe.add_edges(inspected, relaxed);
       };
-      note_scratch(frontier::generate(policy.frontier, pool, small.size(),
-                                      policy.edge_grain, out, body, dedup));
+      note_scratch(frontier::generate_scan(pool, small.size(),
+                                           policy.edge_grain, out, body,
+                                           dedup));
     }
 
     // Phase 2 — medium: edge-balanced over the medium list only (this is
@@ -411,15 +411,15 @@ frontier::sparse_frontier<typename G::vertex_type> advance_push_degree_class(
         probe.add_edges(hi - lo, relaxed);
       };
       frontier::sparse_frontier<V> tmp;
-      note_scratch(frontier::generate(
-          policy.frontier, pool, deg,
+      note_scratch(frontier::generate_scan(
+          pool, deg,
           std::max<std::size_t>(policy.grain, policy.edge_grain_floor), tmp,
           body, dedup));
       out.active().insert(out.active().end(), tmp.active().begin(),
                           tmp.active().end());
     }
 
-    detail::flush_generate_stats(probe, policy.frontier, combined);
+    detail::flush_generate_stats(probe, combined);
     probe.set_scratch_reused(scratch_seen && scratch_reused);
     probe.set_load_balance("degree_class", false);
     probe.set_items_out(out.size());

@@ -10,14 +10,12 @@
 /// typically run `advance → uniquify` or fold the dedupe into the condition
 /// via a claim bitmap.  All overloads are policy-disambiguated like advance.
 ///
-/// Sparse outputs are published through the policy's frontier-generation
-/// strategy (`execution::frontier_gen`, see core/frontier/frontier_gen.hpp):
-/// the default scan path compacts lane buffers with a prefix sum — no locks
-/// on the output path — while `bulk`/`listing3` reproduce the historical
-/// locked paths for ablations.  `filter` ignores `policy.dedup` (it has no
+/// Parallel sparse outputs are published by scan compaction
+/// (core/frontier/generate.hpp): lane buffers joined by a prefix sum —
+/// no locks on the output path.  `filter` ignores `policy.dedup` (it has no
 /// id universe to size a claim bitmap over; run `uniquify` for that), and
 /// `uniquify` *is* the dedup filter: its claim bitmap rides the generation
-/// path's dedup hook, so all three strategies produce the same set.
+/// path's dedup hook.
 
 #include <algorithm>
 #include <cstddef>
@@ -46,11 +44,9 @@ frontier::sparse_frontier<T> filter(execution::sequenced_policy policy,
   return out;
 }
 
-/// Parallel synchronous filter.  Publication follows `policy.frontier`: the
-/// default scan path yields a deterministic, input-ordered output (chunk
-/// boundaries are fixed by the pool's chunking contract); the `bulk` and
-/// `listing3` ablations publish under locks in racy chunk order (frontier
-/// order is semantically a set either way).
+/// Parallel synchronous filter.  Scan compaction yields a deterministic,
+/// input-ordered output (chunk boundaries are fixed by the pool's chunking
+/// contract).
 template <typename T, typename Pred>
 frontier::sparse_frontier<T> filter(execution::parallel_policy policy,
                                     frontier::sparse_frontier<T> const& in,
@@ -58,14 +54,14 @@ frontier::sparse_frontier<T> filter(execution::parallel_policy policy,
   auto const probe = telemetry::make_probe("filter.par", policy, in.size());
   frontier::sparse_frontier<T> out;
   auto const& active = in.active();
-  auto const stats = frontier::generate(
-      policy.frontier, policy.pool(), active.size(), policy.grain, out,
+  auto const stats = frontier::generate_scan(
+      policy.pool(), active.size(), policy.grain, out,
       [&](std::size_t lo, std::size_t hi, auto&& emit) {
         for (std::size_t i = lo; i < hi; ++i)
           if (pred(active[i]))
             emit(active[i]);
       });
-  detail::flush_generate_stats(probe, policy.frontier, stats);
+  detail::flush_generate_stats(probe, stats);
   probe.set_items_out(out.size());
   return out;
 }
@@ -120,23 +116,22 @@ void uniquify(execution::sequenced_policy policy,
 
 /// Parallel uniquify via a claim bitmap over the id universe: O(|F|) work,
 /// no sort.  The bitmap is exactly the generation path's dedup filter, so
-/// the survivors are published per `policy.frontier` — lock-free scan
-/// compaction by default (deterministic first-claim-wins order per the
-/// pool's chunking contract), or the `bulk`/`listing3` locked ablations.
+/// the survivors are published by lock-free scan compaction (deterministic
+/// first-claim-wins order per the pool's chunking contract).
 template <typename T>
 void uniquify(execution::parallel_policy policy,
               frontier::sparse_frontier<T>& f, std::size_t universe) {
   auto const probe = telemetry::make_probe("uniquify.par", policy, f.size());
   frontier::sparse_frontier<T> out;
   auto const& active = f.active();
-  auto const stats = frontier::generate(
-      policy.frontier, policy.pool(), active.size(), policy.grain, out,
+  auto const stats = frontier::generate_scan(
+      policy.pool(), active.size(), policy.grain, out,
       [&](std::size_t lo, std::size_t hi, auto&& emit) {
         for (std::size_t i = lo; i < hi; ++i)
           emit(active[i]);
       },
       &frontier::dedup_scratch(policy.pool(), universe));
-  detail::flush_generate_stats(probe, policy.frontier, stats);
+  detail::flush_generate_stats(probe, stats);
   probe.set_items_out(out.size());
   swap(f, out);
 }

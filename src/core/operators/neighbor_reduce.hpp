@@ -14,9 +14,8 @@
 ///
 /// `neighbor_reduce_activate` closes the GAS loop: gather, then feed each
 /// vertex's folded value to an *activate* predicate; survivors form the
-/// next sparse frontier, published through the policy's frontier-generation
-/// strategy (`execution::frontier_gen`) — lock-free scan compaction by
-/// default, with the locked `bulk`/`listing3` paths kept as ablations.
+/// next sparse frontier, published by lock-free scan compaction
+/// (core/frontier/generate.hpp).
 
 #include <algorithm>
 #include <cstddef>
@@ -160,8 +159,8 @@ frontier::sparse_frontier<T> neighbor_reduce_activate(
         policy, static_cast<std::size_t>(g.get_num_vertices()));
     frontier::generate_stats stats;
     if (!coop) {
-      stats = frontier::generate(policy.frontier, pool, active.size(),
-                                 policy.edge_grain, next, chunk, dedup);
+      stats = frontier::generate_scan(pool, active.size(), policy.edge_grain,
+                                      next, chunk, dedup);
       if (policy.balance != lb::thread_mapped)
         probe.set_load_balance("thread_mapped", autod);
     } else {
@@ -190,8 +189,8 @@ frontier::sparse_frontier<T> neighbor_reduce_activate(
         }
         probe.add_edges(folded, activated);
       };
-      stats = frontier::generate(policy.frontier, pool, active.size(),
-                                 policy.edge_grain, next, chunk_skip, dedup);
+      stats = frontier::generate_scan(pool, active.size(), policy.edge_grain,
+                                      next, chunk_skip, dedup);
 
       // Hub phase: every lane folds a block of the hub's edge range into a
       // private partial (chunk `lo / step` owns its slot); partials are
@@ -238,7 +237,7 @@ frontier::sparse_frontier<T> neighbor_reduce_activate(
       }
       probe.set_load_balance("degree_class", autod);
     }
-    detail::flush_generate_stats(probe, policy.frontier, stats);
+    detail::flush_generate_stats(probe, stats);
   } else {
     auto emit = [&next](T v) { next.active().push_back(v); };
     chunk(0, active.size(), emit);

@@ -94,7 +94,7 @@ struct op_record {
   std::size_t edges_inspected = 0;  ///< condition evaluations
   std::size_t edges_relaxed = 0;    ///< condition returned true
   std::size_t emits_scan = 0;       ///< elements published lock-free (scan path)
-  std::size_t emits_lock = 0;       ///< elements published under a lock (bulk/listing3)
+  std::size_t emits_lock = 0;       ///< elements published under a lock
   std::size_t dedup_hits = 0;       ///< emissions suppressed by the dedup bitmap
   bool scratch_reused = false;      ///< lane scratch arrived with warm capacity
   std::string load_balance;         ///< decomposition strategy that ran
@@ -448,8 +448,8 @@ inline void flush_edges(std::shared_ptr<probe_state> const& s,
 
 /// Flush frontier-generation counters into a shared probe state: how many
 /// elements were published lock-free (scan compaction) vs under a lock
-/// (bulk append / listing3 per-element), and how many emissions the dedup
-/// bitmap suppressed.
+/// (par_nosync bulk append, Listing 3 per-element), and how many emissions
+/// the dedup bitmap suppressed.
 inline void flush_emits(std::shared_ptr<probe_state> const& s,
                         std::size_t scan, std::size_t lock,
                         std::size_t dedup = 0) {

@@ -42,6 +42,10 @@
 /// durably written, promotion loads into a local and installs only if the
 /// slot is still the same demoted epoch.  A spill file remains valid for
 /// its epoch after promotion, so re-demoting an unchanged epoch is free.
+/// Spill files are never rewritten while mapped: names carry the process
+/// id and the registry instance, so engines in different processes can
+/// share one `spill_dir`, and each file is written under a temporary name
+/// and renamed into place.
 /// Delta chains survive demotion untouched — warm starts resume after a
 /// promotion.  engine_stats v5 counts demotions/promotions and gauges
 /// resident/spilled bytes; demote/promote are telemetry-tagged
@@ -61,6 +65,8 @@
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/telemetry.hpp"
 #include "core/types.hpp"
@@ -488,11 +494,14 @@ class graph_registry {
   std::string spill_path_for(std::string const& name,
                              std::uint64_t epoch) const {
     // Lock held.  Name goes through a hash: spill files must not depend on
-    // names being filesystem-safe.
+    // names being filesystem-safe.  `instance_` is unique only within a
+    // process (and survives fork), so the pid keeps registries in
+    // different processes sharing one spill_dir from colliding.
     auto const h = std::hash<std::string>{}(name);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "g%016zx-i%llu-e%llu.blk",
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "g%016zx-p%lld-i%llu-e%llu.blk",
                   static_cast<std::size_t>(h),
+                  static_cast<long long>(::getpid()),
                   static_cast<unsigned long long>(instance_),
                   static_cast<unsigned long long>(epoch));
     return (std::filesystem::path(tier_.spill_dir) / buf).string();
@@ -607,16 +616,21 @@ class graph_registry {
     }
     bool wrote = false;
     std::uint64_t file_bytes = 0;
+    // Write under a temporary name, then rename into place: the published
+    // name only ever refers to a complete file, and a file some reader may
+    // have mapped is replaced, never truncated.
+    std::string const tmp = path + ".tmp";
     try {
       telemetry::op_probe probe("tier.demote", pin->csr().column_indices.size(),
                                 0, 0, 0, false);
-      io::write_mapped_graph(path, pin->csr());
+      io::write_mapped_graph(tmp, pin->csr());
+      std::filesystem::rename(tmp, path);
       std::error_code ec;
       auto const sz = std::filesystem::file_size(path, ec);
       file_bytes = ec ? 0 : static_cast<std::uint64_t>(sz);
       wrote = true;
     } catch (...) {
-      remove_spill_file(path);
+      remove_spill_file(tmp);
     }
     bool demoted = false;
     {

@@ -105,7 +105,7 @@ void job_scheduler::runner_loop() {
   // Runners are the dominant run_blocked callers: claim a stable external
   // lane on the default pool up front so every superstep this runner
   // coordinates distributes its chunks through a stealable deque instead
-  // of the central injector.  No-op on the central substrate.
+  // of the FIFO injector.
   parallel::default_pool().register_external_lane();
   for (;;) {
     job_ptr j;

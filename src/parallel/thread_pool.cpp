@@ -1,10 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
-#include <latch>
-#include <string>
 
 #include "parallel/barrier.hpp"
 #include "parallel/work_deque.hpp"
@@ -13,7 +10,7 @@ namespace essentials::parallel {
 
 namespace {
 
-/// External (non-worker) lane slots per stealing pool: enough for every
+/// External (non-worker) lane slots per pool: enough for every
 /// engine runner plus the main thread with headroom.  When exhausted,
 /// run_blocked falls back to injector distribution — correct, just
 /// centralized — so this is a performance bound, not a correctness one.
@@ -58,7 +55,7 @@ std::size_t next_victim(std::size_t lanes) {
 
 }  // namespace
 
-/// One lane of the stealing substrate: lanes [0, size()) belong to the
+/// One lane of the pool: lanes [0, size()) belong to the
 /// workers; the rest are claimable by external threads (engine runners, the
 /// main thread) so their run_blocked chunks are deque-distributed too.
 /// Tasks are heap-allocated std::functions — the deque stores trivially
@@ -72,57 +69,31 @@ steal_order default_steal_order() {
   return numa_enabled() ? steal_order::tiered : steal_order::flat;
 }
 
-queue_mode default_queue_mode() {
-  static queue_mode const mode = [] {
-#if defined(ESSENTIALS_CENTRAL_QUEUE)
-    bool central = true;
-#else
-    bool central = false;
-#endif
-    if (char const* env = std::getenv("ESSENTIALS_CENTRAL_QUEUE")) {
-      std::string value(env);
-      for (char& c : value)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      central = !(value.empty() || value == "0" || value == "false" ||
-                  value == "off" || value == "no");
-    }
-    return central ? queue_mode::central : queue_mode::stealing;
-  }();
-  return mode;
-}
-
 thread_pool::thread_pool(std::size_t num_threads)
-    : thread_pool(num_threads, default_queue_mode(), default_steal_order()) {}
+    : thread_pool(num_threads, default_steal_order()) {}
 
-thread_pool::thread_pool(std::size_t num_threads, queue_mode mode)
-    : thread_pool(num_threads, mode, default_steal_order()) {}
-
-thread_pool::thread_pool(std::size_t num_threads, queue_mode mode,
-                         steal_order order)
-    : mode_(mode), order_(order), pool_id_(next_pool_id()) {
+thread_pool::thread_pool(std::size_t num_threads, steal_order order)
+    : order_(order), pool_id_(next_pool_id()) {
   num_workers_ = num_threads == 0 ? 1 : num_threads;
-  if (mode_ == queue_mode::stealing) {
-    lanes_.reserve(num_workers_ + external_lane_slots);
-    for (std::size_t i = 0; i < num_workers_ + external_lane_slots; ++i)
-      lanes_.push_back(std::make_unique<lane>());
-    // Topology packing: worker i runs near cpu_of_worker_[i] (advisory
-    // unless ESSENTIALS_PIN), and — under tiered order — steals from SMT
-    // siblings, then its socket, then remote sockets.  Built before any
-    // worker starts, so workers read it without synchronization.
-    cpu_of_worker_ = assign_workers(system_topology(), num_workers_);
-    if (order_ == steal_order::tiered) {
-      tiers_.reserve(num_workers_);
-      for (std::size_t i = 0; i < num_workers_; ++i)
-        tiers_.push_back(tiered_victims(system_topology(), cpu_of_worker_, i));
-    }
+  lanes_.reserve(num_workers_ + external_lane_slots);
+  for (std::size_t i = 0; i < num_workers_ + external_lane_slots; ++i)
+    lanes_.push_back(std::make_unique<lane>());
+  // Topology packing: worker i runs near cpu_of_worker_[i] (advisory
+  // unless ESSENTIALS_PIN), and — under tiered order — steals from SMT
+  // siblings, then its socket, then remote sockets.  Built before any
+  // worker starts, so workers read it without synchronization.
+  cpu_of_worker_ = assign_workers(system_topology(), num_workers_);
+  if (order_ == steal_order::tiered) {
+    tiers_.reserve(num_workers_);
+    for (std::size_t i = 0; i < num_workers_; ++i)
+      tiers_.push_back(tiered_victims(system_topology(), cpu_of_worker_, i));
   }
+  // Read the seed here, not in each worker, so a pool's victim streams
+  // depend only on the environment at construction.
+  auto const seed = steal_seed();
   workers_.reserve(num_workers_);
-  for (std::size_t i = 0; i < num_workers_; ++i) {
-    if (mode_ == queue_mode::stealing)
-      workers_.emplace_back([this, i] { worker_loop_stealing(i); });
-    else
-      workers_.emplace_back([this] { worker_loop_central(); });
-  }
+  for (std::size_t i = 0; i < num_workers_; ++i)
+    workers_.emplace_back([this, i, seed] { worker_loop(i, seed); });
 }
 
 thread_pool::~thread_pool() {
@@ -145,29 +116,21 @@ thread_pool::~thread_pool() {
 
 void thread_pool::submit(std::function<void()> task) {
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (mode_ == queue_mode::stealing) {
-    std::size_t const self = lane_id();
-    if (self != no_lane && self < num_workers_) {
-      // Worker origin: own deque, newest-first for the owner, oldest-first
-      // for thieves — submission order is preserved across a steal.
-      lanes_[self]->deque.push(new std::function<void()>(std::move(task)));
-      notify_sleepers(false);
-      return;
-    }
-    // External origin: FIFO injector, same ordering the central queue gave.
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      queue_.push_back(std::move(task));
-      queue_size_.store(queue_.size(), std::memory_order_seq_cst);
-    }
+  std::size_t const self = lane_id();
+  if (self != no_lane && self < num_workers_) {
+    // Worker origin: own deque, newest-first for the owner, oldest-first
+    // for thieves — submission order is preserved across a steal.
+    lanes_[self]->deque.push(new std::function<void()>(std::move(task)));
     notify_sleepers(false);
     return;
   }
+  // External origin: FIFO injector.
   {
     std::lock_guard<std::mutex> guard(mutex_);
     queue_.push_back(std::move(task));
+    queue_size_.store(queue_.size(), std::memory_order_seq_cst);
   }
-  has_work_.notify_one();
+  notify_sleepers(false);
 }
 
 void thread_pool::submit_urgent(std::function<void()> task) {
@@ -175,13 +138,9 @@ void thread_pool::submit_urgent(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> guard(mutex_);
     urgent_queue_.push_back(std::move(task));
-    if (mode_ == queue_mode::stealing)
-      urgent_size_.store(urgent_queue_.size(), std::memory_order_seq_cst);
+    urgent_size_.store(urgent_queue_.size(), std::memory_order_seq_cst);
   }
-  if (mode_ == queue_mode::stealing)
-    notify_sleepers(false);
-  else
-    has_work_.notify_one();
+  notify_sleepers(false);
 }
 
 std::size_t thread_pool::discard_pending() {
@@ -194,10 +153,10 @@ std::size_t thread_pool::discard_pending() {
     queue_size_.store(0, std::memory_order_seq_cst);
     urgent_size_.store(0, std::memory_order_seq_cst);
   }
-  // Stealing substrate: also drain every lane deque.  steal() is
-  // any-thread-safe, so the drain needs no cooperation from workers; a
-  // worker racing us for a task simply wins it (and runs it — "queued but
-  // not yet started" is decided by that race, same as the central queue).
+  // Also drain every lane deque.  steal() is any-thread-safe, so the drain
+  // needs no cooperation from workers; a worker racing us for a task simply
+  // wins it (and runs it — "queued but not yet started" is decided by that
+  // race).
   for (auto const& l : lanes_)
     while (auto stranded = l->deque.steal()) {
       delete *stranded;
@@ -213,7 +172,7 @@ std::size_t thread_pool::discard_pending() {
   return discarded;
 }
 
-// --- completion plumbing shared by both substrates -------------------------
+// --- completion plumbing ---------------------------------------------------
 
 void thread_pool::execute(std::function<void()>&& task) {
   busy_.fetch_add(1, std::memory_order_relaxed);
@@ -247,49 +206,12 @@ void thread_pool::wait_idle() {
   });
 }
 
-// --- central substrate -----------------------------------------------------
+// --- workers and stealing --------------------------------------------------
 
-void thread_pool::worker_loop_central() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      has_work_.wait(lock, [this] {
-        return stopping_ || !queue_.empty() || !urgent_queue_.empty();
-      });
-      if (stopping_ && queue_.empty() && urgent_queue_.empty())
-        return;
-      auto& source = urgent_queue_.empty() ? queue_ : urgent_queue_;
-      task = std::move(source.front());
-      source.pop_front();
-    }
-    execute(std::move(task));
-  }
-}
-
-void thread_pool::run_blocked_central(
-    std::size_t n, std::function<void(std::size_t, std::size_t)> const& fn,
-    std::size_t step, std::size_t chunks) {
-  // The calling thread takes the first chunk itself (one fewer enqueue and
-  // guarantees forward progress even if all workers are busy elsewhere).
-  std::latch done(static_cast<std::ptrdiff_t>(chunks - 1));
-  for (std::size_t c = 1; c < chunks; ++c) {
-    std::size_t const begin = c * step;
-    std::size_t const end = std::min(n, begin + step);
-    submit([&fn, &done, begin, end] {
-      fn(begin, end);
-      done.count_down();
-    });
-  }
-  fn(0, std::min(n, step));
-  done.wait();
-}
-
-// --- stealing substrate ----------------------------------------------------
-
-void thread_pool::worker_loop_stealing(std::size_t id) {
+void thread_pool::worker_loop(std::size_t id,
+                              std::optional<std::uint64_t> seed) {
   tls_lanes().push_back({pool_id_, id});
-  if (auto const seed = steal_seed()) {
+  if (seed) {
     // Deterministic victim streams: splitmix64 of (seed, lane) gives each
     // worker a distinct but reproducible sweep, so a torture-suite failure
     // replays with ESSENTIALS_STEAL_SEED=<seed>.
@@ -445,12 +367,10 @@ std::size_t thread_pool::lane_id() const {
 }
 
 std::size_t thread_pool::max_lanes() const noexcept {
-  return mode_ == queue_mode::stealing ? lanes_.size() : num_workers_ + 1;
+  return lanes_.size();
 }
 
 std::size_t thread_pool::register_external_lane() {
-  if (mode_ != queue_mode::stealing)
-    return no_lane;
   std::size_t const existing = lane_id();
   if (existing != no_lane)
     return existing;
@@ -475,10 +395,6 @@ void thread_pool::run_blocked(
   std::size_t const chunks = (n + step - 1) / step;
   if (chunks == 1) {
     fn(0, n);
-    return;
-  }
-  if (mode_ == queue_mode::central) {
-    run_blocked_central(n, fn, step, chunks);
     return;
   }
 

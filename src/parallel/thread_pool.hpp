@@ -21,29 +21,24 @@
 ///    and later call `wait_idle()` (or never), which is the `par_nosync`
 ///    behaviour of Listing 3's alternative overload.
 ///
-/// ## Execution substrates
+/// ## Execution substrate
 ///
-/// Two substrates implement that contract (`queue_mode`):
+/// Every worker owns a Chase–Lev deque (parallel/work_deque.hpp);
+/// `run_blocked` pushes its chunks onto the *caller's* lane (workers push
+/// their own deque; external threads — engine runners, the main thread —
+/// claim a stable external lane slot) and idle workers steal from
+/// randomized victims, in the order `steal_order` names.  Completion uses
+/// the striped `completion_latch` (parallel/barrier.hpp) instead of a flat
+/// `std::latch`, and the caller drains its own deque while the barrier is
+/// open, so a pool under load never strands a superstep.  External
+/// fire-and-forget `submit`s go through a small injector queue (strict
+/// FIFO).
 ///
-///  - **stealing** (default): every worker owns a Chase–Lev deque
-///    (parallel/work_deque.hpp); `run_blocked` pushes its chunks onto the
-///    *caller's* lane (workers push their own deque; external threads —
-///    engine runners, the main thread — claim a stable external lane slot)
-///    and idle workers steal from randomized victims.  Completion uses the
-///    striped `completion_latch` (parallel/barrier.hpp) instead of a flat
-///    `std::latch`, and the caller drains its own deque while the barrier
-///    is open, so a pool under load never strands a superstep.  External
-///    fire-and-forget `submit`s go through a small injector queue (strict
-///    FIFO, same-priority semantics as the central substrate).
-///  - **central**: the pre-stealing substrate — one mutex-guarded MPMC
-///    queue and a flat latch — kept alive as a differential-testing and
-///    ablation baseline behind the `ESSENTIALS_CENTRAL_QUEUE` knob.
-///
-/// Both substrates share the *deterministic chunking contract* exposed as
-/// `bulk_step()`: for fixed (n, grain, size()) the partition is identical
-/// regardless of mode or which thread runs each chunk — the property the
-/// scan-compaction frontier path (core/frontier/frontier_gen.hpp) builds
-/// its lane indexing and its bit-identical differential tests on.
+/// Chunking is deterministic and exposed as `bulk_step()`: for fixed
+/// (n, grain, size()) the partition is identical regardless of steal order
+/// or which thread runs each chunk — the property the scan-compaction
+/// frontier path (core/frontier/generate.hpp) builds its lane indexing
+/// and its bit-identical differential tests on.
 
 #include <atomic>
 #include <condition_variable>
@@ -61,21 +56,7 @@
 
 namespace essentials::parallel {
 
-/// Which execution substrate a pool instance uses.
-enum class queue_mode : unsigned char {
-  stealing,  ///< per-worker Chase–Lev deques, randomized-victim stealing
-  central,   ///< single mutex-guarded MPMC queue (ablation / differential)
-};
-
-/// The process-wide default substrate: `queue_mode::stealing`, unless the
-/// library was compiled with -DESSENTIALS_CENTRAL_QUEUE or the environment
-/// variable `ESSENTIALS_CENTRAL_QUEUE` is set to a truthy value (`1`,
-/// `true`, `on`, `yes`); a falsy value (`0`, `false`, `off`, `no`)
-/// force-selects stealing even under the compile-time define.  Read once
-/// and cached (pools constructed later in the process see the same answer).
-queue_mode default_queue_mode();
-
-/// How a stealing worker orders its victims (central substrate ignores it).
+/// How a stealing worker orders its victims.
 enum class steal_order : unsigned char {
   flat,    ///< uniform-random sweep over all lanes (the PR 6 behaviour)
   tiered,  ///< same-core SMT siblings → same socket → remote sockets →
@@ -94,18 +75,14 @@ class thread_pool {
   /// Creates `num_threads` persistent workers.  `num_threads == 0` is
   /// normalized to 1 (a pool that still runs everything, just serially on
   /// one worker) so callers never divide by zero when chunking.
+  /// Steal order defaults to `default_steal_order()`.
   explicit thread_pool(std::size_t num_threads);
 
-  /// Substrate-explicit constructor — differential tests pin one pool to
-  /// `queue_mode::central` and one to `queue_mode::stealing` and assert
-  /// bit-identical operator output.
-  thread_pool(std::size_t num_threads, queue_mode mode);
-
-  /// Fully explicit constructor: substrate *and* steal order.  Differential
-  /// tests construct a `flat` and a `tiered` pool side by side — steal order
-  /// only changes which victim a thief probes first, never the chunk map, so
-  /// operator output must stay bit-identical.
-  thread_pool(std::size_t num_threads, queue_mode mode, steal_order order);
+  /// Explicit steal order.  Differential tests construct a `flat` and a
+  /// `tiered` pool side by side — steal order only changes which victim a
+  /// thief probes first, never the chunk map, so operator output must stay
+  /// bit-identical.
+  thread_pool(std::size_t num_threads, steal_order order);
 
   ~thread_pool();
 
@@ -114,9 +91,6 @@ class thread_pool {
 
   /// Number of worker threads.
   std::size_t size() const noexcept { return num_workers_; }
-
-  /// The execution substrate this pool runs on.
-  queue_mode mode() const noexcept { return mode_; }
 
   /// The victim-selection order stealing workers use.
   steal_order order() const noexcept { return order_; }
@@ -131,8 +105,8 @@ class thread_pool {
 
   /// Enqueue a fire-and-forget task (asynchronous model).  The task may run
   /// on any worker at any later time; use wait_idle() for a full barrier.
-  /// Stealing substrate: a pool worker pushes onto its own deque (stolen by
-  /// idle peers); any other thread goes through the FIFO injector.
+  /// A pool worker pushes onto its own deque (stolen by idle peers); any
+  /// other thread goes through the FIFO injector.
   void submit(std::function<void()> task);
 
   /// Enqueue a task ahead of every normal-priority task (but behind other
@@ -143,12 +117,12 @@ class thread_pool {
   /// chunks of an already-running normal task were dequeued before the
   /// urgent submission, and the urgent class is expected to be sparse.
   /// Workers check the urgent class before their own deque and before any
-  /// steal, so the priority survives the stealing substrate.
+  /// steal, so the priority survives stealing.
   void submit_urgent(std::function<void()> task);
 
   /// Shutdown drain: remove every *queued but not yet started* task (both
-  /// priority classes, and — on the stealing substrate — every task still
-  /// sitting in a worker or external lane deque) and return how many were
+  /// priority classes, and every task still sitting in a worker or external
+  /// lane deque) and return how many were
   /// discarded.  Running tasks are unaffected; their completion still
   /// releases pending slots.  Lets an owner tear down promptly without
   /// executing a backlog it no longer wants — the complement of the
@@ -169,8 +143,8 @@ class thread_pool {
   ///
   /// Chunking guarantee (relied upon by parallel/for_each.hpp's two-pass
   /// exclusive_scan and the frontier scan-compaction path): for fixed
-  /// (n, grain) the partition is deterministic, identical across both queue
-  /// modes, every chunk's `begin` is a multiple of `bulk_step(n, grain)`,
+  /// (n, grain) the partition is deterministic, identical across steal
+  /// orders, every chunk's `begin` is a multiple of `bulk_step(n, grain)`,
   /// and callers that pass that step back in as `grain` observe chunk
   /// boundaries exactly at multiples of it.
   void run_blocked(std::size_t n,
@@ -180,10 +154,10 @@ class thread_pool {
   /// The chunking contract, reified: the step `run_blocked(n, ..., grain)`
   /// partitions with — ceil(n / min(4*(size()+1), ceil(n/grain))).  The
   /// single source of truth for every caller that mirrors the partition
-  /// (for_each.hpp, frontier_gen.hpp).  Mode-independent by design: the
-  /// stealing and central substrates schedule the same chunks onto
-  /// different threads, which is what keeps scan-compacted frontier output
-  /// bit-identical across substrates.
+  /// (for_each.hpp, generate.hpp).  Independent of steal order by design:
+  /// flat and tiered pools schedule the same chunks onto different
+  /// threads, which is what keeps scan-compacted frontier output
+  /// bit-identical across them.
   std::size_t bulk_step(std::size_t n, std::size_t grain = 1) const noexcept {
     if (n == 0)
       return 1;
@@ -207,7 +181,7 @@ class thread_pool {
     return pending_.load(std::memory_order_acquire);
   }
 
-  // --- lane identity (stealing substrate) ----------------------------------
+  // --- lane identity --------------------------------------------------------
 
   /// Sentinel for "the calling thread holds no lane in this pool".
   static constexpr std::size_t no_lane = static_cast<std::size_t>(-1);
@@ -215,15 +189,14 @@ class thread_pool {
   /// The calling thread's stable lane index in this pool: workers are lanes
   /// [0, size()); threads that ran `run_blocked` or called
   /// `register_external_lane` hold an external lane in [size(),
-  /// max_lanes()).  Returns `no_lane` for unregistered threads and on the
-  /// central substrate.  Stable for the thread × pool lifetime — usable as
+  /// max_lanes()).  Returns `no_lane` for unregistered threads.  Stable for
+  /// the thread × pool lifetime — usable as
   /// an index into per-lane scratch (parallel/lane_buffers.hpp) without any
   /// shared counter.
   std::size_t lane_id() const;
 
   /// Upper bound (inclusive of unclaimed external slots) on lane indices
   /// `lane_id()` can return — the size for lane-indexed scratch arrays.
-  /// Central substrate: size() + 1 (workers + the calling thread).
   std::size_t max_lanes() const noexcept;
 
   /// Claim (or re-fetch) a stable external lane for the calling thread —
@@ -232,7 +205,7 @@ class thread_pool {
   /// startup so their first superstep already runs deque-distributed.
   /// Returns the lane index, or `no_lane` when all external slots are
   /// claimed (run_blocked then falls back to the injector — correct, just
-  /// centralized) or on the central substrate.
+  /// centralized).
   std::size_t register_external_lane();
 
   /// Instantaneous occupancy snapshot — the observability feed for the
@@ -251,8 +224,7 @@ class thread_pool {
  private:
   struct lane;  // Chase–Lev deque + claim flag; defined in thread_pool.cpp
 
-  void worker_loop_central();
-  void worker_loop_stealing(std::size_t id);
+  void worker_loop(std::size_t id, std::optional<std::uint64_t> seed);
   std::optional<std::function<void()>> find_task(std::size_t self);
   std::optional<std::function<void()>> pop_injector(
       std::atomic<std::size_t>& size_mirror,
@@ -261,11 +233,7 @@ class thread_pool {
   void finish_one();
   void notify_sleepers(bool all);
   bool visible_work() const;
-  void run_blocked_central(
-      std::size_t n, std::function<void(std::size_t, std::size_t)> const& fn,
-      std::size_t step, std::size_t chunks);
 
-  queue_mode const mode_;
   steal_order const order_;
   std::uint64_t const pool_id_;  ///< process-unique; keys thread-local lanes
   std::size_t num_workers_ = 0;  ///< set before workers start
@@ -273,17 +241,16 @@ class thread_pool {
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<lane>> lanes_;  // [0, P): workers; rest: external
 
-  // Topology placement (stealing substrate): worker→cpu packing and the
+  // Topology placement: worker→cpu packing and the
   // per-worker tiered victim lists derived from it.  Built once in the
   // constructor before any worker starts; read-only afterwards.
   std::vector<int> cpu_of_worker_;
   std::vector<steal_tiers> tiers_;  // [0, P), used when order_ == tiered
 
-  // Central queue (central mode) / FIFO injector (stealing mode), plus the
-  // urgent class, shared by both substrates.  The atomic size mirrors let
-  // stealing workers probe without the lock; their seq_cst ordering is one
-  // half of the sleep handshake (the other half is the deque's seq_cst
-  // bottom publication) — see worker_loop_stealing.
+  // FIFO injector plus the urgent class.  The atomic size mirrors let
+  // workers probe without the lock; their seq_cst ordering is one half of
+  // the sleep handshake (the other half is the deque's seq_cst bottom
+  // publication) — see worker_loop.
   std::deque<std::function<void()>> queue_;
   std::deque<std::function<void()>> urgent_queue_;
   std::atomic<std::size_t> queue_size_{0};
@@ -292,7 +259,7 @@ class thread_pool {
   mutable std::mutex mutex_;
   std::condition_variable has_work_;
   std::condition_variable all_idle_;
-  std::atomic<std::size_t> sleepers_{0};   // stealing-mode parked workers
+  std::atomic<std::size_t> sleepers_{0};   // parked workers
   std::uint64_t wake_counter_ = 0;         // guarded by mutex_
   std::atomic<std::size_t> pending_{0};    // queued + running tasks
   std::atomic<std::size_t> busy_{0};       // lanes inside task()

@@ -7,7 +7,7 @@
 /// The paper frames graph analytics as memory-bandwidth-bound: operator
 /// throughput is set by how fast edges stream out of DRAM.  On multi-socket
 /// machines that bandwidth is *per socket*, and remote-node CSR reads cost
-/// 1.5–2x a local read — so once work-stealing removed the central-queue
+/// 1.5–2x a local read — so once work stealing removed the shared-queue
 /// bottleneck, cross-socket traffic is the next scaling wall.  This header
 /// provides the three ingredients the rest of `parallel/` threads through
 /// the hot path:
@@ -28,8 +28,8 @@
 ///     combine within a socket before crossing the interconnect (katana's
 ///     `Barrier_Topo` shift).
 ///  3. **Knobs**: `ESSENTIALS_NUMA` gates every placement decision (default
-///     on; the off path is a live differential baseline, exactly like
-///     `ESSENTIALS_CENTRAL_QUEUE`), `ESSENTIALS_PIN` opts workers into
+///     on; the off path — flat steal order, no first-touch — is a live
+///     differential baseline), `ESSENTIALS_PIN` opts workers into
 ///     affinity pinning, and `ESSENTIALS_STEAL_SEED` makes the randomized
 ///     victim sweep reproducible for torture-suite debugging.
 ///
@@ -98,8 +98,7 @@ std::vector<int> parse_cpu_list(std::string const& list);
 /// on (or off when compiled with -DESSENTIALS_NUMA_OFF); the environment
 /// variable overrides either way — truthy (`1`, `true`, `on`, `yes`)
 /// enables, falsy (`0`, `false`, `off`, `no`) disables.  Read once and
-/// cached, like `default_queue_mode()`: the off path is the flat
-/// differential baseline CI keeps alive.
+/// cached: the off path is the flat differential baseline CI keeps alive.
 bool numa_enabled();
 
 /// `ESSENTIALS_PIN`: opt workers into CPU-affinity pinning (default off —
@@ -115,7 +114,8 @@ bool pin_thread_to_cpu(int cpu);
 /// `ESSENTIALS_STEAL_SEED`: when set, the base seed for every worker's
 /// victim-selection RNG (mixed with the worker's lane id), making steal
 /// sweeps — and therefore torture-suite interleavings — reproducible.
-/// Read per call (not cached) so tests can set it before building a pool.
+/// Read per call (not cached); a pool reads it once at construction, so
+/// tests can set it, build a pool, and restore it right away.
 std::optional<std::uint64_t> steal_seed();
 
 // ---------------------------------------------------------------------------

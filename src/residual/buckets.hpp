@@ -19,10 +19,10 @@
 ///    it), the vertex is demoted to its proper bucket unprocessed
 ///    (residual/state.hpp).
 ///
-/// Staging is contention-free on the stealing substrate: each bucket has
-/// one cache-line-padded vector per pool lane, indexed by `lane_id()`;
-/// producers without a lane (central substrate, unregistered externals)
-/// fall back to a spinlock-guarded overflow slot.  Wave extraction is
+/// Staging is contention-free: each bucket has one cache-line-padded
+/// vector per pool lane, indexed by `lane_id()`; producers without a lane
+/// (unregistered externals, or every external slot claimed) fall back to
+/// a spinlock-guarded overflow slot.  Wave extraction is
 /// coordinator-only *between* `run_blocked` barriers, so it reads the lane
 /// vectors without synchronization — the same two-phase discipline as
 /// parallel/lane_buffers.hpp.

@@ -5,6 +5,7 @@
 
 #include "graph/compressed.hpp"
 #include "essentials.hpp"
+#include "steal_pools.hpp"
 
 namespace e = essentials;
 namespace g = e::graph;
@@ -228,11 +229,9 @@ TEST(Compressed, ThreadLocalCacheSurvivesGraphInterleaving) {
 
 TEST(Compressed, OperatorDifferentialAcrossPoliciesAndSubstrates) {
   // The tentpole contract: advance on compressed CSR is bit-identical to
-  // advance on plain CSR across frontier strategies and both pool
-  // substrates.  "Bit-identical" follows the repo's differential
-  // convention: exact equality where the path is deterministic (seq, par
-  // scan), multiset equality where publication order is racy (bulk /
-  // listing3) — the same bar test_differential.cpp holds flat CSR to.
+  // advance on plain CSR under seq and under par on both steal orders (flat
+  // and tiered pools with different victim streams) — the same bar
+  // test_differential.cpp holds flat CSR to.
   auto const csr = rmat_like(400, 6000, 21);
   g::graph_csr flat;
   flat.set_csr(csr);
@@ -252,31 +251,23 @@ TEST(Compressed, OperatorDifferentialAcrossPoliciesAndSubstrates) {
   EXPECT_EQ(op::advance_push(ex::seq, cg, in, cond).to_vector(), ref);
   auto const ref_sorted = sorted_copy(ref);
 
-  for (auto const mode : {e::parallel::queue_mode::stealing,
-                          e::parallel::queue_mode::central}) {
-    e::parallel::thread_pool pool(4, mode);
-    ex::parallel_policy const par_on_pool{pool};
-    for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                          ex::frontier_gen::listing3}) {
-      auto const policy = par_on_pool.with_frontier(fg);
-      auto const flat_out =
-          op::advance_push(policy, flat, in, cond).to_vector();
-      auto const comp_out = op::advance_push(policy, cg, in, cond).to_vector();
-      if (fg == ex::frontier_gen::scan) {
-        EXPECT_EQ(comp_out, flat_out) << "scan must match exactly";
-      }
-      EXPECT_EQ(sorted_copy(comp_out), ref_sorted)
-          << "substrate " << static_cast<int>(mode) << " frontier "
-          << static_cast<int>(fg);
-      // Dedup'd variants agree as sets.
-      auto const dd =
-          op::advance_push(policy.with_dedup(), cg, in, cond).to_vector();
-      auto dd_want = ref_sorted;
-      dd_want.erase(std::unique(dd_want.begin(), dd_want.end()),
-                    dd_want.end());
-      EXPECT_EQ(sorted_copy(dd), dd_want);
-    }
+  e::testing::steal_pools pools(4);
+  std::vector<std::vector<vertex_t>> outs;
+  for (auto* pool : {pools.flat.get(), pools.tiered.get()}) {
+    ex::parallel_policy const policy{*pool};
+    auto const flat_out = op::advance_push(policy, flat, in, cond).to_vector();
+    auto const comp_out = op::advance_push(policy, cg, in, cond).to_vector();
+    EXPECT_EQ(comp_out, flat_out) << "scan must match exactly";
+    EXPECT_EQ(sorted_copy(comp_out), ref_sorted);
+    outs.push_back(comp_out);
+    // Dedup'd variants agree as sets.
+    auto const dd =
+        op::advance_push(policy.with_dedup(), cg, in, cond).to_vector();
+    auto dd_want = ref_sorted;
+    dd_want.erase(std::unique(dd_want.begin(), dd_want.end()), dd_want.end());
+    EXPECT_EQ(sorted_copy(dd), dd_want);
   }
+  EXPECT_EQ(outs[0], outs[1]) << "steal order must not change scan output";
 }
 
 TEST(Compressed, NeighborReduceAndFilterDifferential) {
@@ -296,7 +287,7 @@ TEST(Compressed, NeighborReduceAndFilterDifferential) {
   op::neighbor_reduce(ex::par, cg, 0.0, map, combine, got.data());
   EXPECT_EQ(got, want);
 
-  // Frontier-restricted activate variant across generation strategies.
+  // Frontier-restricted activate variant.
   std::vector<vertex_t> seeds;
   for (vertex_t v = 0; v < 350; v += 5)
     seeds.push_back(v);
@@ -307,16 +298,13 @@ TEST(Compressed, NeighborReduceAndFilterDifferential) {
       op::neighbor_reduce_activate(ex::seq, flat, in, 0.0, map, combine,
                                    activate, out_ref.data())
           .to_vector());
-  for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                        ex::frontier_gen::listing3}) {
-    std::vector<double> out_c(n, 0.0);
-    auto const act = sorted_copy(
-        op::neighbor_reduce_activate(ex::par.with_frontier(fg), cg, in, 0.0,
-                                     map, combine, activate, out_c.data())
-            .to_vector());
-    EXPECT_EQ(act, act_ref) << static_cast<int>(fg);
-    EXPECT_EQ(out_c, out_ref) << static_cast<int>(fg);
-  }
+  std::vector<double> out_c(n, 0.0);
+  auto const act = sorted_copy(
+      op::neighbor_reduce_activate(ex::par, cg, in, 0.0, map, combine,
+                                   activate, out_c.data())
+          .to_vector());
+  EXPECT_EQ(act, act_ref);
+  EXPECT_EQ(out_c, out_ref);
 
   // filter is graph-independent but rides the same policy matrix the
   // compressed outputs feed; sanity-check it over an advance result.

@@ -126,13 +126,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IoFuzz,
 #include <vector>
 
 #include "io/mapped.hpp"
+#include "temp_dir.hpp"
 
 namespace {
 
-std::filesystem::path fuzz_dir() {
-  auto const d = std::filesystem::temp_directory_path() / "essentials-io-fuzz";
-  std::filesystem::create_directories(d);
-  return d;
+/// This process's scratch directory, removed at exit.  Private per process
+/// because ctest runs every parameterized instance as its own process: a
+/// shared directory let one instance truncate a file another had mmapped.
+std::filesystem::path const& fuzz_dir() {
+  static essentials::testing::private_dir const dir("essentials-io-fuzz");
+  return dir.path();
 }
 
 std::string read_file(std::filesystem::path const& p) {

@@ -7,9 +7,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/sssp.hpp"
@@ -24,6 +28,7 @@
 #include "generators/generators.hpp"
 #include "graph/graph.hpp"
 #include "io/mapped.hpp"
+#include "temp_dir.hpp"
 
 namespace e = essentials;
 namespace g = e::graph;
@@ -61,14 +66,10 @@ g::graph_csr path_graph(vertex_t n, bool shortcut = false) {
   return g::from_coo<g::graph_csr>(std::move(coo));
 }
 
-/// A per-test scratch directory under the system temp dir, wiped on entry
-/// so reruns never see stale spill files.
+/// A fresh scratch directory under the system temp dir, private to this
+/// call (mkdtemp), so concurrent test processes never share spill files.
 std::string fresh_dir(std::string const& tag) {
-  auto const d =
-      std::filesystem::temp_directory_path() / ("essentials-ooc-" + tag);
-  std::filesystem::remove_all(d);
-  std::filesystem::create_directories(d);
-  return d.string();
+  return e::testing::make_private_dir("essentials-ooc-" + tag).string();
 }
 
 std::vector<vertex_t> sorted_copy(std::vector<vertex_t> v) {
@@ -146,13 +147,10 @@ TEST(Mapped, OperatorsAndAlgorithmsMatchPlainCsr) {
       sorted_copy(op::advance_push(ex::seq, flat, in, cond).to_vector());
   EXPECT_EQ(sorted_copy(op::advance_push(ex::seq, mg, in, cond).to_vector()),
             ref);
-  for (auto const fg : {ex::frontier_gen::scan, ex::frontier_gen::bulk,
-                        ex::frontier_gen::listing3})
-    EXPECT_EQ(sorted_copy(op::advance_push(ex::par.with_frontier(fg), mg, in,
-                                           cond)
-                              .to_vector()),
-              ref)
-        << static_cast<int>(fg);
+  EXPECT_EQ(sorted_copy(op::advance_push(ex::par, mg, in, cond).to_vector()),
+            ref);
+  auto const l3 = op::neighbors_expand_listing3(ex::par, mg, in, cond);
+  EXPECT_EQ(sorted_copy(l3.to_vector()), ref);
 
   // Full traversals never fully materialize the adjacency in RAM.
   EXPECT_EQ(alg::bfs(ex::par, mg, vertex_t{0}).depths,
@@ -447,6 +445,89 @@ TEST(Tier, EngineServesJobsAcrossDemotion) {
   auto const s = engine.stats();
   EXPECT_EQ(s.tier_promotions, 1u);
   EXPECT_GT(s.tier_resident_bytes, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+namespace {
+
+/// One engine with its tier in `dir`: publish a 64-vertex path (with or
+/// without the 0 -> 63 shortcut), demote it, then serve a BFS job that
+/// pages it back.  Returns the depth of vertex 63, or -1 when a step
+/// fails.  The hooks run just before and just after the demotion.
+int demote_promote_bfs(std::string const& dir, bool shortcut,
+                       std::function<void()> const& before_demote,
+                       std::function<void()> const& after_demote) {
+  eng::engine_options opt;
+  opt.num_runners = 1;
+  opt.max_queued = 4;
+  opt.cache_capacity = 0;  // every job goes through the registry lookup
+  opt.tier_spill_dir = dir;
+  eng::analytics_engine<g::graph_csr> engine(opt);
+  engine.registry().publish("g", path_graph(64, shortcut));
+  before_demote();
+  bool const demoted = engine.registry().demote("g");
+  after_demote();
+  if (!demoted)
+    return -1;
+  eng::job_desc d;
+  d.graph = "g";
+  d.algorithm = "bfs";
+  d.params = "src=0";
+  auto j = engine.run(
+      d, [](g::graph_csr const& gr,
+            eng::job_context&) -> std::shared_ptr<void const> {
+        return std::make_shared<alg::bfs_result<vertex_t> const>(
+            alg::bfs(ex::seq, gr, vertex_t{0}));
+      });
+  if (j->status() != eng::job_status::completed ||
+      engine.stats().tier_promotions != 1)
+    return -1;
+  auto const result = j->result_as<alg::bfs_result<vertex_t>>();
+  return static_cast<int>(result->depths[63]);
+}
+
+}  // namespace
+
+// Two processes, one spill_dir.  Both build their engine after the fork,
+// so their registries hold the same process-local instance cookie and
+// publish the same name at the same epoch — spill names that differ only
+// by process.  The child demotes first, then the parent, then both page
+// back: each must read its own graph, not the file the other wrote.
+TEST(Tier, TwoProcessesShareOneSpillDir) {
+  auto const dir = fresh_dir("fork");
+  int to_parent[2], to_child[2];
+  ASSERT_EQ(::pipe(to_parent), 0);
+  ASSERT_EQ(::pipe(to_child), 0);
+  pid_t const child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(to_parent[0]);
+    ::close(to_child[1]);
+    char token = 0;
+    int const depth = demote_promote_bfs(
+        dir, /*shortcut=*/true, [] {},
+        [&] {
+          (void)!::write(to_parent[1], &token, 1);  // my spill file is done
+          (void)!::read(to_child[0], &token, 1);    // wait for the parent's
+        });
+    ::_exit(depth == 1 ? 0 : 1);
+  }
+  ::close(to_parent[1]);
+  ::close(to_child[0]);
+  char token = 0;
+  int const depth = demote_promote_bfs(
+      dir, /*shortcut=*/false,
+      [&] { (void)!::read(to_parent[0], &token, 1); },    // child went first
+      [&] { (void)!::write(to_child[1], &token, 1); });  // release the child
+  ::close(to_parent[0]);
+  ::close(to_child[1]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_EQ(depth, 63) << "parent paged back the wrong graph";
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "child paged back the wrong graph";
+  for (auto const& entry : std::filesystem::directory_iterator(dir))
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   std::filesystem::remove_all(dir);
 }
 

@@ -7,8 +7,8 @@
 // reference enactment on the same snapshot — bit-identical for the
 // min-lattices (SSSP vs dijkstra, reachability vs BFS depths), within ε
 // for the weighted sums (PageRank vs power iteration, PPR vs forward
-// push, spread vs a Jacobi reference computed in-test) — across the
-// stealing/flat, stealing/tiered and central substrates.  The
+// push, spread vs a Jacobi reference computed in-test) — across flat and
+// tiered steal orders.  The
 // Residual-prefixed suites join the CI TSAN matrix; the storm test
 // hammers a threaded standing query with publishes and concurrent
 // snapshot readers.
@@ -42,6 +42,7 @@
 #include "residual/standing.hpp"
 #include "residual/state.hpp"
 #include "residual/striped_counter.hpp"
+#include "steal_pools.hpp"
 
 namespace alg = essentials::algorithms;
 namespace en = essentials::enactor;
@@ -191,19 +192,9 @@ TEST(ResidualSssp, MatchesDijkstraAcrossSubstrates) {
   auto const g = ring_plus_random(200, 1000, 42);
   for (vertex_t const source : {vertex_t{0}, vertex_t{57}, vertex_t{133}}) {
     auto const want = alg::dijkstra(g, source).distances;
-    {
-      p::thread_pool pool(4, p::queue_mode::stealing, p::steal_order::flat);
-      expect_bit_identical(residual_sssp(g, source, pool), want);
-    }
-    {
-      p::thread_pool pool(4, p::queue_mode::stealing,
-                          p::steal_order::tiered);
-      expect_bit_identical(residual_sssp(g, source, pool), want);
-    }
-    {
-      p::thread_pool pool(4, p::queue_mode::central);
-      expect_bit_identical(residual_sssp(g, source, pool), want);
-    }
+    essentials::testing::steal_pools pools(4);
+    expect_bit_identical(residual_sssp(g, source, *pools.flat), want);
+    expect_bit_identical(residual_sssp(g, source, *pools.tiered), want);
   }
 }
 
