@@ -68,13 +68,12 @@ int main(int argc, char** argv) {
   std::vector<tel::trace> traces(3);
 
   {
-    tel::scoped_recording rec(traces[0], "bfs_direction_optimizing");
-    auto const r =
-        e::algorithms::bfs_direction_optimizing(e::execution::par, g, 0);
+    tel::scoped_recording rec(traces[0], "bfs");
+    auto const r = e::algorithms::bfs(e::execution::par, g, 0);
     std::size_t reached = 0;
     for (auto const d : r.depths)
       reached += d >= 0;
-    std::printf("\nDO-BFS reached %zu vertices\n", reached);
+    std::printf("\nBFS reached %zu vertices\n", reached);
   }
   print_trace(traces[0]);
 
@@ -104,7 +103,7 @@ int main(int argc, char** argv) {
                  csv_path.c_str());
     return 1;
   }
-  std::printf("\nwrote %s (all traces) and %s (DO-BFS supersteps)\n",
+  std::printf("\nwrote %s (all traces) and %s (BFS supersteps)\n",
               json_path.c_str(), csv_path.c_str());
   return 0;
 }

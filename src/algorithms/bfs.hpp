@@ -1,16 +1,16 @@
 #pragma once
 
 /// \file algorithms/bfs.hpp
-/// \brief Breadth-first search: push, pull, direction-optimizing, async
+/// \brief Breadth-first search: direction-optimizing BSP, pull, async
 /// queue, and message-passing variants, plus the serial oracle.
 ///
 /// BFS is the paper's cleanest showcase for the push-vs-pull pillar
 /// (§III-C): push scans out-edges of the frontier (work ∝ frontier edges),
 /// pull scans in-edges of *unvisited* vertices (work ∝ unvisited edges).
-/// The direction-optimizing variant (Beamer et al.'s heuristic expressed in
-/// our abstraction) switches per superstep on frontier density — switching
-/// representation (sparse ↔ dense) at the same time, which is exactly the
-/// "multiple underlying representations behind one interface" claim.
+/// `bfs` picks between them per level with Beamer et al.'s rule whenever
+/// the graph carries a CSC view — switching the frontier representation
+/// (sparse ↔ dense) at the same time, which is exactly the "multiple
+/// underlying representations behind one interface" claim.
 
 #include <cstdint>
 #include <deque>
@@ -39,6 +39,14 @@ struct bfs_result {
   std::size_t iterations = 0;
 };
 
+/// Beamer's push -> pull rule: a push level turns into a pull level when
+/// the frontier's out-edges exceed the unexplored edges divided by this.
+inline constexpr std::size_t bfs_push_to_pull_divisor = 14;
+
+/// Beamer's pull -> push rule: a pull level turns back into a push level
+/// when the frontier holds fewer than |V| divided by this vertices.
+inline constexpr std::size_t bfs_pull_to_push_divisor = 24;
+
 namespace detail {
 
 template <typename G>
@@ -53,15 +61,41 @@ bfs_result<typename G::vertex_type> make_bfs_state(
   return r;
 }
 
+/// Sum of the out-degrees of a sparse frontier — the edges a push level
+/// over it would inspect.  Serial: one degree lookup per vertex is a small
+/// fraction of the push level it decides, and far cheaper than a pool
+/// dispatch on the many-level, small-frontier traversals of meshes.
+template <typename G>
+std::size_t frontier_out_edges(
+    G const& g, frontier::sparse_frontier<typename G::vertex_type> const& f) {
+  std::size_t total = 0;
+  for (auto const v : f.active())
+    total += static_cast<std::size_t>(g.get_out_degree(v));
+  return total;
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Push BSP
+// Direction-optimizing BSP
 // ---------------------------------------------------------------------------
 
-/// Push BFS: advance the sparse frontier along out-edges; the condition is
-/// a claim ("first visitor wins") on a visited bitmap, which deduplicates
-/// the output frontier as a side effect — no uniquify needed.
+/// BFS.  Without a CSC view every level is a push: advance the sparse
+/// frontier along out-edges, where the condition is a claim ("first
+/// visitor wins") on a visited bitmap that deduplicates the output frontier
+/// as a side effect.
+///
+/// With a CSC view the direction is chosen per level (Beamer et al.):
+///  - a push level whose frontier has more out-edges than the unexplored
+///    edges / `bfs_push_to_pull_divisor` converts the frontier to a bitmap
+///    and pulls instead;
+///  - a pull level whose frontier has fewer than |V| /
+///    `bfs_pull_to_push_divisor` vertices converts back and pushes.
+/// "Unexplored" starts at |E| and loses each push level's frontier
+/// out-edges.  A pull level visits only unvisited vertices (the advance's
+/// destination predicate) and stops at the first in-edge from the
+/// frontier.  Each level is one telemetry superstep carrying the direction,
+/// whether it switched, and the frontier density.
 template <typename P, typename G>
   requires execution::synchronous_policy<P>
 bfs_result<typename G::vertex_type> bfs(P policy, G const& g,
@@ -73,30 +107,77 @@ bfs_result<typename G::vertex_type> bfs(P policy, G const& g,
   V* const depths = result.depths.data();
   V* const parents = result.parents.data();
 
-  parallel::atomic_bitset visited(
-      static_cast<std::size_t>(g.get_num_vertices()));
+  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
+  parallel::atomic_bitset visited(n);
   visited.set(static_cast<std::size_t>(source));
 
-  frontier::sparse_frontier<V> f;
-  f.add_vertex(source);
+  frontier::sparse_frontier<V> sparse;
+  sparse.add_vertex(source);
+  frontier::dense_frontier<V> dense;
+  bool pulling = false;
+  std::size_t unexplored = static_cast<std::size_t>(g.get_num_edges());
+  telemetry::recorder* const rec = telemetry::current();
+  std::size_t frontier_size = 1;
+  std::size_t level = 0;
+  for (; frontier_size != 0; ++level) {
+    V const next_depth = static_cast<V>(level + 1);
+    bool switched = false;
+    if constexpr (G::has_csc) {
+      if (!pulling) {
+        std::size_t const scout = detail::frontier_out_edges(g, sparse);
+        if (scout > unexplored / bfs_push_to_pull_divisor) {
+          dense = frontier::to_dense(sparse, n);
+          pulling = switched = true;
+        } else {
+          unexplored -= scout;
+        }
+      } else if (frontier_size < n / bfs_pull_to_push_divisor) {
+        sparse = frontier::to_sparse(dense);
+        pulling = false;
+        switched = true;
+      }
+    }
 
-  auto const stats = enactor::bsp_loop(
-      std::move(f),
-      [&](frontier::sparse_frontier<V> in, std::size_t iteration) {
-        V const next_depth = static_cast<V>(iteration + 1);
-        return operators::advance_balanced(
-            policy, g, in,
-            [&visited, depths, parents, next_depth](
-                V const src, V const dst, E const /*e*/, W const /*w*/) {
-              if (!visited.test_and_set(static_cast<std::size_t>(dst)))
-                return false;  // someone else claimed dst
-              depths[dst] = next_depth;
-              parents[dst] = src;
-              return true;
-            });
-      },
-      enactor::frontier_empty{});
-  result.iterations = stats.iterations;
+    direction_t const dir = pulling ? direction_t::pull : direction_t::push;
+    if (rec) {
+      rec->begin_superstep(frontier_size, dir);
+      rec->set_direction(
+          dir, switched,
+          static_cast<double>(frontier_size) / static_cast<double>(n));
+    }
+    if (!pulling) {
+      sparse = operators::advance_balanced(
+          policy, g, sparse,
+          [&visited, depths, parents, next_depth](V const src, V const dst,
+                                                  E const, W const) {
+            if (!visited.test_and_set(static_cast<std::size_t>(dst)))
+              return false;  // someone else claimed dst
+            depths[dst] = next_depth;
+            parents[dst] = src;
+            return true;
+          });
+      frontier_size = sparse.size();
+    } else if constexpr (G::has_csc) {
+      // Each destination belongs to one lane, so the depth/parent stores
+      // need no atomics; `visited` stays coherent for a return to push.
+      dense = operators::advance_pull<true>(
+          policy, g, dense,
+          [&visited](V const v) {
+            return !visited.test(static_cast<std::size_t>(v));
+          },
+          [&visited, depths, parents, next_depth](V const src, V const dst,
+                                                  E const, W const) {
+            visited.set(static_cast<std::size_t>(dst));
+            depths[dst] = next_depth;
+            parents[dst] = src;
+            return true;
+          });
+      frontier_size = dense.size();
+    }
+    if (rec)
+      rec->end_superstep(frontier_size);
+  }
+  result.iterations = level;
   return result;
 }
 
@@ -104,9 +185,10 @@ bfs_result<typename G::vertex_type> bfs(P policy, G const& g,
 // Pull BSP
 // ---------------------------------------------------------------------------
 
-/// Pull BFS: each unvisited vertex scans its in-edges for a parent in the
-/// current (dense) frontier; early-exit on the first hit.  Requires the
-/// CSC view.
+/// Pull BFS: every level is a pull over a dense frontier — each unvisited
+/// vertex scans its in-edges for a parent in the frontier and stops at the
+/// first hit.  Requires the CSC view.  `bfs` is faster; this is the pure
+/// pull baseline it is measured against.
 template <typename P, typename G>
   requires execution::synchronous_policy<P> && (G::has_csc)
 bfs_result<typename G::vertex_type> bfs_pull(P policy, G const& g,
@@ -129,15 +211,14 @@ bfs_result<typename G::vertex_type> bfs_pull(P policy, G const& g,
         V const next_depth = static_cast<V>(iteration + 1);
         if (auto* const rec = telemetry::current())
           rec->set_direction(direction_t::pull, false, frontier::density(in));
-        // In the pull scan each dst is handled by exactly one lane, so the
-        // depth/parent writes need no atomics; the "unvisited" test makes
-        // the advance skip settled vertices wholesale.
+        // Each destination belongs to one lane, so the depth/parent stores
+        // need no atomics; the "unvisited" destination predicate skips
+        // settled vertices before their in-edges are read.
         return operators::advance_pull<true>(
             policy, g, in,
+            [depths](V const v) { return depths[v] == V{-1}; },
             [depths, parents, next_depth](V const src, V const dst,
                                           E const /*e*/, W const /*w*/) {
-              if (depths[dst] != V{-1})
-                return false;
               depths[dst] = next_depth;
               parents[dst] = src;
               return true;
@@ -145,113 +226,6 @@ bfs_result<typename G::vertex_type> bfs_pull(P policy, G const& g,
       },
       enactor::frontier_empty{});
   result.iterations = stats.iterations;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Direction-optimizing BSP
-// ---------------------------------------------------------------------------
-
-/// Tuning knobs for direction-optimizing BFS (Beamer-style).  Defaults
-/// follow the published heuristic shape: go pull when the frontier's edge
-/// work exceeds ~1/alpha of the remaining edge work; return to push when
-/// the frontier thins below 1/beta of the vertices.
-struct dobfs_options {
-  double alpha = 15.0;
-  double beta = 18.0;
-};
-
-/// Direction-optimizing BFS: starts push/sparse; when the frontier grows
-/// dense it converts the frontier representation (sparse -> dense) and
-/// switches to pull; when the frontier thins it converts back.  One
-/// algorithm, two operators, two frontier representations — the crossover
-/// machinery the abstraction exists to express.
-template <typename P, typename G>
-  requires execution::synchronous_policy<P> && (G::has_csr && G::has_csc)
-bfs_result<typename G::vertex_type> bfs_direction_optimizing(
-    P policy, G const& g, typename G::vertex_type source,
-    dobfs_options opt = {}) {
-  using V = typename G::vertex_type;
-  using E = typename G::edge_type;
-  using W = typename G::weight_type;
-  auto result =
-      detail::make_bfs_state(g, source, "dobfs: source out of range");
-  V* const depths = result.depths.data();
-  V* const parents = result.parents.data();
-
-  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
-  parallel::atomic_bitset visited(n);
-  visited.set(static_cast<std::size_t>(source));
-
-  frontier::sparse_frontier<V> sparse;
-  sparse.add_vertex(source);
-  frontier::dense_frontier<V> dense(n);
-  bool pulling = false;
-
-  telemetry::recorder* const rec = telemetry::current();
-  std::size_t iteration = 0;
-  std::size_t frontier_size = 1;
-  while (frontier_size != 0) {
-    V const next_depth = static_cast<V>(iteration + 1);
-    // Heuristic signal: frontier share of vertices.
-    double const density =
-        static_cast<double>(frontier_size) / static_cast<double>(n);
-    bool const want_pull = density > 1.0 / opt.alpha;
-    bool const want_push = density < 1.0 / opt.beta;
-
-    bool switched = false;
-    if (!pulling && want_pull) {
-      dense = frontier::to_dense(sparse, n);
-      pulling = true;
-      switched = true;
-    } else if (pulling && want_push && !want_pull) {
-      sparse = frontier::to_sparse(dense);
-      pulling = false;
-      switched = true;
-    }
-
-    // Telemetry: one superstep per level, carrying the direction decision
-    // the Beamer heuristic just made and the density it was based on.
-    if (rec) {
-      rec->begin_superstep(frontier_size,
-                           pulling ? direction_t::pull : direction_t::push);
-      rec->set_direction(pulling ? direction_t::pull : direction_t::push,
-                         switched, density);
-    }
-
-    if (pulling) {
-      dense = operators::advance_pull<true>(
-          policy, g, dense,
-          [depths, parents, next_depth](V const src, V const dst, E const,
-                                        W const) {
-            if (depths[dst] != V{-1})
-              return false;
-            depths[dst] = next_depth;
-            parents[dst] = src;
-            return true;
-          });
-      // Keep the visited bitmap coherent for a later return to push.
-      dense.for_each_active(
-          [&visited](V v) { visited.set(static_cast<std::size_t>(v)); });
-      frontier_size = dense.size();
-    } else {
-      sparse = operators::advance_balanced(
-          policy, g, sparse,
-          [&visited, depths, parents, next_depth](V const src, V const dst,
-                                                  E const, W const) {
-            if (!visited.test_and_set(static_cast<std::size_t>(dst)))
-              return false;
-            depths[dst] = next_depth;
-            parents[dst] = src;
-            return true;
-          });
-      frontier_size = sparse.size();
-    }
-    if (rec)
-      rec->end_superstep(frontier_size);
-    ++iteration;
-  }
-  result.iterations = iteration;
   return result;
 }
 

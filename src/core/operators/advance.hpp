@@ -18,7 +18,8 @@
 ///    `par_nosync` (pool, no barrier — caller owns synchronization).
 ///  - direction: `advance_push` walks out-edges via CSR;
 ///    `advance_pull` walks in-edges via CSC, asking whether any *active*
-///    predecessor satisfies the condition.
+///    predecessor satisfies the condition (optionally only for the
+///    destinations a predicate admits).
 ///  - representation: sparse -> sparse, sparse -> dense, dense -> dense.
 ///
 /// Synchronous parallel overloads generate sparse outputs with lane buffers
@@ -43,6 +44,7 @@
 /// the cross-direction invariant the differential suite
 /// (tests/test_differential.cpp) asserts.
 
+#include <concepts>
 #include <cstddef>
 #include <vector>
 
@@ -343,13 +345,19 @@ frontier::dense_frontier<typename G::vertex_type> advance_push(
 // Pull advance (CSC)
 // ---------------------------------------------------------------------------
 
-/// Pull advance: every vertex of the graph scans its *in*-edges and asks
-/// whether an active predecessor satisfies the condition; if so the vertex
-/// joins the output frontier.  The input must support O(1) membership
-/// (dense frontier).  `early_exit` stops scanning a vertex's in-edges at
-/// the first hit — correct for BFS-like "any parent" programs; keep false
-/// for programs that must see every incident active edge (e.g. pull SSSP
+/// Pull advance: every vertex of the graph that passes the destination
+/// predicate `wants(v)` scans its *in*-edges and asks whether an active
+/// predecessor satisfies the condition; if so the vertex joins the output
+/// frontier.  The input must support O(1) membership (dense frontier).
+/// `wants` is tested once per vertex, before its in-edges are read, so a
+/// vertex it rejects (BFS: already settled) costs one test and no edge
+/// reads.  `early_exit` stops scanning a vertex's in-edges at the first
+/// hit — correct for BFS-like "any parent" programs; keep false for
+/// programs that must see every incident active edge (e.g. pull SSSP
 /// relaxations).
+///
+/// Each destination is handled by exactly one lane, so a condition may
+/// write per-destination state with plain stores.
 ///
 /// Output invariant: a vertex is activated through the public frontier API
 /// exactly once, no matter how many of its in-edges relax — the condition
@@ -358,49 +366,64 @@ frontier::dense_frontier<typename G::vertex_type> advance_push(
 /// re-activate the output.  Telemetry `edges_inspected` counts only edges
 /// whose source is active (the membership probe is not an inspection), so
 /// the count is comparable with the push direction.
+template <bool early_exit = false, typename P, typename G, typename DstPred,
+          typename Cond>
+  requires execution::synchronous_policy<P> && advance_condition<Cond, G> &&
+           std::predicate<DstPred, typename G::vertex_type> && (G::has_csc)
+frontier::dense_frontier<typename G::vertex_type> advance_pull(
+    P policy, G const& g,
+    frontier::dense_frontier<typename G::vertex_type> const& in, DstPred wants,
+    Cond cond) {
+  using V = typename G::vertex_type;
+  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
+  auto const probe =
+      telemetry::make_probe("advance_pull", policy, telemetry::probe_items(in));
+  frontier::dense_frontier<V> out(n);
+  auto const chunk = [&](std::size_t lo, std::size_t hi) {
+    std::size_t inspected = 0, relaxed = 0;
+    for (std::size_t vi = lo; vi < hi; ++vi) {
+      V const v = static_cast<V>(vi);
+      if (!wants(v))
+        continue;
+      bool added = false;
+      for (auto const e : g.get_in_edges(v)) {
+        V const u = g.get_in_source_vertex(e);
+        if (!in.contains(u))
+          continue;
+        auto const w = g.get_in_edge_weight(e);
+        ++inspected;
+        if (cond(u, v, e, w)) {
+          ++relaxed;
+          if (!added) {
+            out.add_vertex(v);
+            added = true;
+          }
+          if constexpr (early_exit)
+            break;
+        }
+      }
+    }
+    probe.add_edges(inspected, relaxed);
+  };
+  if constexpr (std::decay_t<P>::is_parallel) {
+    policy.pool().run_blocked(n, chunk, policy.edge_grain);
+  } else {
+    chunk(0, n);
+  }
+  if (probe)
+    probe.set_items_out(out.size());
+  return out;
+}
+
+/// Pull advance over every destination (no destination predicate).
 template <bool early_exit = false, typename P, typename G, typename Cond>
   requires execution::synchronous_policy<P> && advance_condition<Cond, G> &&
            (G::has_csc)
 frontier::dense_frontier<typename G::vertex_type> advance_pull(
     P policy, G const& g,
     frontier::dense_frontier<typename G::vertex_type> const& in, Cond cond) {
-  using V = typename G::vertex_type;
-  std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
-  auto const probe =
-      telemetry::make_probe("advance_pull", policy, telemetry::probe_items(in));
-  frontier::dense_frontier<V> out(n);
-  auto const body = [&](std::size_t vi) {
-    V const v = static_cast<V>(vi);
-    std::size_t inspected = 0, relaxed = 0;
-    bool added = false;
-    for (auto const e : g.get_in_edges(v)) {
-      V const u = g.get_in_source_vertex(e);
-      if (!in.contains(u))
-        continue;
-      auto const w = g.get_in_edge_weight(e);
-      ++inspected;
-      if (cond(u, v, e, w)) {
-        ++relaxed;
-        if (!added) {
-          out.add_vertex(v);
-          added = true;
-        }
-        if constexpr (early_exit)
-          break;
-      }
-    }
-    probe.add_edges(inspected, relaxed);
-  };
-  if constexpr (std::decay_t<P>::is_parallel) {
-    parallel::parallel_for(policy.pool(), std::size_t{0}, n, body,
-                           policy.edge_grain);
-  } else {
-    for (std::size_t vi = 0; vi < n; ++vi)
-      body(vi);
-  }
-  if (probe)
-    probe.set_items_out(out.size());
-  return out;
+  return advance_pull<early_exit>(
+      policy, g, in, [](typename G::vertex_type) { return true; }, cond);
 }
 
 // ---------------------------------------------------------------------------

@@ -483,7 +483,9 @@ TEST(Differential, UniquifyStrategiesProduceTheSameSet) {
 // same function with *bit-identical* scan output: the output order is a
 // function of the deterministic chunking contract, which both pools share,
 // never of which thread ran which chunk.  Each parallel result also
-// matches the sequential oracle.
+// matches the sequential oracle.  The tiered pool is the NUMA-on steal
+// order and the flat pool the NUMA-off one (`ESSENTIALS_NUMA=off`), so
+// these tests are also the NUMA-on == NUMA-off acceptance bar.
 TEST(Differential, AdvanceMatrixAgreesAcrossQueueSubstrates) {
   essentials::testing::steal_pools pools(8);
   ex::parallel_policy const on_flat(*pools.flat);

@@ -183,6 +183,53 @@ TEST(AdvancePull, SeqMatchesPar) {
   EXPECT_EQ(s.to_vector(), p.to_vector());
 }
 
+// A destination the predicate rejects is skipped before its in-edges are
+// read: with every destination settled, a pull step inspects no edge.
+TEST(AdvancePull, SettledDestinationsInspectNoEdges) {
+  auto const graph = rmat_graph(7);
+  fr::dense_frontier<vertex_t> in(
+      static_cast<std::size_t>(graph.get_num_vertices()));
+  for (vertex_t v = 0; v < graph.get_num_vertices(); v += 3)
+    in.add_vertex(v);
+  auto const settled = [](vertex_t) { return false; };
+  auto const check = [&](auto policy) {
+    tel::trace t;
+    fr::dense_frontier<vertex_t> out;
+    {
+      tel::scoped_recording rec(t, "pull");
+      out = op::advance_pull<true>(policy, graph, in, settled, always);
+    }
+    EXPECT_TRUE(out.empty());
+    if (tel::compiled_in) {
+      EXPECT_EQ(t.total_edges_inspected(), 0u);
+      EXPECT_EQ(t.total_edges_relaxed(), 0u);
+    }
+  };
+  check(ex::seq);
+  check(ex::par);
+}
+
+// The destination predicate restricts the output to the admitted
+// vertices and changes nothing else.
+TEST(AdvancePull, DestinationPredicateSelectsTargets) {
+  auto const graph = rmat_graph(7);
+  fr::dense_frontier<vertex_t> in(
+      static_cast<std::size_t>(graph.get_num_vertices()));
+  for (vertex_t v = 0; v < 20; ++v)
+    in.add_vertex(v);
+  auto const even = [](vertex_t v) { return v % 2 == 0; };
+  std::vector<vertex_t> expected;
+  for (vertex_t const v : op::advance_pull<true>(ex::seq, graph, in, always)
+                              .to_vector())
+    if (even(v))
+      expected.push_back(v);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(op::advance_pull<true>(ex::seq, graph, in, even, always).to_vector(),
+            expected);
+  EXPECT_EQ(op::advance_pull<true>(ex::par, graph, in, even, always).to_vector(),
+            expected);
+}
+
 // --- edge-centric ---------------------------------------------------------------
 
 TEST(AdvanceEdges, ExpandAndConsumeEdgeFrontier) {

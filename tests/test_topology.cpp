@@ -2,9 +2,8 @@
 // against canned fixture trees (2-socket SMT, 1-socket, SMT-off), the
 // single-node fallback, the placement policies (worker packing, steal
 // tiers, barrier leaf order), first-touch placement semantics, and the
-// NUMA differential suite asserting the tiered steal order computes
-// bit-identical results to the flat baseline across the operator matrix.
-// The differential suites run under the CI TSAN matrix.
+// steal-order knob.  The tiered-vs-flat operator matrix lives in
+// tests/test_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,11 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/execution.hpp"
-#include "core/frontier/frontier.hpp"
-#include "core/operators/advance.hpp"
-#include "core/operators/filter.hpp"
-#include "core/operators/neighbor_reduce.hpp"
 #include "generators/generators.hpp"
 #include "graph/build.hpp"
 #include "graph/graph.hpp"
@@ -32,15 +26,9 @@
 #include "parallel/thread_pool.hpp"
 #include "parallel/topology.hpp"
 
-namespace ex = essentials::execution;
-namespace fr = essentials::frontier;
 namespace g = essentials::graph;
 namespace gen = essentials::generators;
-namespace op = essentials::operators;
 namespace p = essentials::parallel;
-using essentials::vertex_t;
-using essentials::edge_t;
-using essentials::weight_t;
 
 namespace {
 
@@ -358,21 +346,6 @@ TEST(FirstTouch, DefaultInitAllocatorStillValueConstructsWithArgs) {
 
 // --- NUMA differential: tiered steal order vs flat baseline -----------------
 
-namespace {
-
-g::graph_push_pull random_graph(std::uint64_t seed) {
-  auto coo = gen::erdos_renyi(/*n=*/200, /*m=*/1500, {}, seed);
-  return g::from_coo<g::graph_push_pull>(std::move(coo));
-}
-
-auto const pure_mod = [](vertex_t s, vertex_t d, edge_t, weight_t) {
-  return (static_cast<std::size_t>(s) * 7 + static_cast<std::size_t>(d) * 13) %
-             3 !=
-         0;
-};
-
-}  // namespace
-
 TEST(NumaDifferential, StealOrderKnobSelectsOrder) {
   p::thread_pool tiered(2, p::steal_order::tiered);
   p::thread_pool flat(2, p::steal_order::flat);
@@ -384,71 +357,9 @@ TEST(NumaDifferential, StealOrderKnobSelectsOrder) {
     EXPECT_EQ(tiered.bulk_step(n, 16), flat.bulk_step(n, 16));
 }
 
-// The acceptance bar: NUMA-on (tiered) == NUMA-off (flat) bit-identical
-// across the operator matrix.  Scan output order is a function of the
-// deterministic chunking contract, which both steal orders share.
-TEST(NumaDifferential, AdvanceMatrixAgreesAcrossStealOrders) {
-  p::thread_pool tiered(8, p::steal_order::tiered);
-  p::thread_pool flat(8, p::steal_order::flat);
-  ex::parallel_policy const on_tiered(tiered);
-  ex::parallel_policy const on_flat(flat);
-
-  for (std::uint64_t seed : {3u, 11u}) {
-    auto const graph = random_graph(seed);
-    std::vector<vertex_t> seeds;
-    for (vertex_t v = 0; v < 200; v += 2)
-      seeds.push_back(v);
-    fr::sparse_frontier<vertex_t> const in(std::move(seeds));
-
-    auto const a = op::advance_push(on_tiered, graph, in, pure_mod);
-    auto const b = op::advance_push(on_flat, graph, in, pure_mod);
-    EXPECT_EQ(a.to_vector(), b.to_vector()) << "scan must be bit-identical";
-  }
-}
-
-TEST(NumaDifferential, FilterMatrixAgreesAcrossStealOrders) {
-  p::thread_pool tiered(8, p::steal_order::tiered);
-  p::thread_pool flat(8, p::steal_order::flat);
-  ex::parallel_policy const on_tiered(tiered);
-  ex::parallel_policy const on_flat(flat);
-
-  std::vector<vertex_t> ids;
-  for (vertex_t v = 0; v < 10'000; ++v)
-    ids.push_back(v);
-  fr::sparse_frontier<vertex_t> const in(std::move(ids));
-  auto const pred = [](vertex_t v) { return v % 7 != 2; };
-
-  EXPECT_EQ(op::filter(on_tiered, in, pred).to_vector(),
-            op::filter(on_flat, in, pred).to_vector());
-}
-
-TEST(NumaDifferential, NeighborReduceMatrixAgreesAcrossStealOrders) {
-  p::thread_pool tiered(8, p::steal_order::tiered);
-  p::thread_pool flat(8, p::steal_order::flat);
-  ex::parallel_policy const on_tiered(tiered);
-  ex::parallel_policy const on_flat(flat);
-
-  auto const graph = random_graph(31);
-  std::size_t const n = static_cast<std::size_t>(graph.get_num_vertices());
-  std::vector<vertex_t> seeds;
-  for (vertex_t v = 0; v < 200; v += 3)
-    seeds.push_back(v);
-  fr::sparse_frontier<vertex_t> const in(std::move(seeds));
-
-  auto const map_w = [](vertex_t, vertex_t d, edge_t, weight_t w) {
-    return static_cast<double>(w) + static_cast<double>(d);
-  };
-  auto const combine = [](double a, double b) { return a + b; };
-  auto const activate = [](vertex_t, double acc) { return acc > 8.0; };
-
-  std::vector<double> out_a(n, -1.0), out_b(n, -1.0);
-  auto const fa = op::neighbor_reduce_activate(
-      on_tiered, graph, in, 0.0, map_w, combine, activate, out_a.data());
-  auto const fb = op::neighbor_reduce_activate(
-      on_flat, graph, in, 0.0, map_w, combine, activate, out_b.data());
-  EXPECT_EQ(out_a, out_b);
-  EXPECT_EQ(fa.to_vector(), fb.to_vector());
-}
+// The NUMA-on (tiered) == NUMA-off (flat) operator matrix is asserted by
+// Differential.*AcrossQueueSubstrates (tests/test_differential.cpp), which
+// runs every operator on a flat and a tiered pool against the seq oracle.
 
 // CSR construction through the first-touch path is deterministic: building
 // the same COO twice (placement pre-touch on, then effectively exercised
