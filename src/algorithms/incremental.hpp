@@ -31,6 +31,9 @@
 /// results.  Record weights are advisory and deliberately *unused* here:
 /// relaxation always reads the snapshot's authoritative weights.
 ///
+/// Connected components instead link the delta's edges into the previous
+/// labels and compress (see `connected_components_incremental`).
+///
 /// Deletions, in-place weight increases and truncated logs break the
 /// upper-bound property; each enactor detects this (`insert_only()` /
 /// `complete`) and transparently falls back to the cold algorithm.  The
@@ -57,6 +60,7 @@
 #include "core/execution.hpp"
 #include "core/frontier/frontier.hpp"
 #include "core/operators/advance.hpp"
+#include "core/operators/compute.hpp"
 #include "core/operators/filter.hpp"
 #include "core/types.hpp"
 #include "graph/delta.hpp"
@@ -78,19 +82,12 @@ namespace detail {
 /// `viable` (typically "previous label is finite").
 template <typename V, typename W, typename ViableF>
 std::vector<V> delta_seeds(graph::edge_delta_t<V, W> const& delta,
-                           std::size_t n, bool both_endpoints,
-                           ViableF viable) {
+                           std::size_t n, ViableF viable) {
   std::vector<V> seeds;
-  seeds.reserve(delta.records.size() * (both_endpoints ? 2 : 1));
-  auto const consider = [&](V v) {
-    if (v >= 0 && static_cast<std::size_t>(v) < n && viable(v))
-      seeds.push_back(v);
-  };
-  for (auto const& r : delta.records) {
-    consider(r.src);
-    if (both_endpoints)
-      consider(r.dst);
-  }
+  seeds.reserve(delta.records.size());
+  for (auto const& r : delta.records)
+    if (r.src >= 0 && static_cast<std::size_t>(r.src) < n && viable(r.src))
+      seeds.push_back(r.src);
   std::sort(seeds.begin(), seeds.end());
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
   return seeds;
@@ -147,8 +144,7 @@ sssp_result<typename G::weight_type> sssp_incremental(
   W* const dist = result.distances.data();
 
   frontier::sparse_frontier<V> f(detail::delta_seeds(
-      delta, n, /*both_endpoints=*/false,
-      [dist](V v) { return dist[v] != infinity_v<W>; }));
+      delta, n, [dist](V v) { return dist[v] != infinity_v<W>; }));
 
   auto const stats = enactor::bsp_loop(
       std::move(f),
@@ -232,7 +228,7 @@ bfs_result<typename G::vertex_type> bfs_incremental(
   std::uint64_t* const w = words.data();
 
   frontier::sparse_frontier<V> f(detail::delta_seeds(
-      delta, n, /*both_endpoints=*/false, [&prev](V v) {
+      delta, n, [&prev](V v) {
         return prev.depths[static_cast<std::size_t>(v)] != V{-1};
       }));
 
@@ -285,17 +281,17 @@ bfs_result<typename G::vertex_type> bfs_incremental(
 // Connected components
 // ---------------------------------------------------------------------------
 
-/// Incremental CC (label propagation; undirected semantics — run on a
-/// symmetrized graph, like the cold variant).  Inserts only merge
-/// components, so the previous labels are valid upper bounds and seeding
-/// both endpoints of every delta edge floods the smaller label through the
-/// merged component.  Labels are bit-identical to the cold fixed point
-/// (min vertex id per component).  Deletions can split components —
-/// fallback.  Weight-only changes also route through the conservative
-/// `remove` marking and fall back, although CC ignores weights; that
-/// pessimism costs a cold run, never correctness.
+/// Incremental CC (undirected semantics, like the cold kernel).  Inserts
+/// only merge components, and the previous labels are the cold kernel's
+/// forest (no parent above its child), so the warm path copies them, links
+/// both endpoints of every inserted edge in one serial sweep (a delta holds
+/// far fewer records than the graph has vertices) and compresses once;
+/// roots only decrease, so the labels equal a cold run.  Deletions (and
+/// weight changes, which the log marks as removals) can split components,
+/// and labels that are not such a forest would index out of range: both
+/// fall back to the cold kernel.
 template <typename P, typename G>
-  requires execution::synchronous_policy<P>
+  requires execution::synchronous_policy<P> && (G::has_csr)
 cc_result<typename G::vertex_type> connected_components_incremental(
     P policy, G const& g,
     cc_result<typename G::vertex_type> const& prev,
@@ -303,12 +299,13 @@ cc_result<typename G::vertex_type> connected_components_incremental(
                         typename G::weight_type> const& delta,
     incremental_outcome* outcome = nullptr) {
   using V = typename G::vertex_type;
-  using E = typename G::edge_type;
-  using W = typename G::weight_type;
   std::size_t const n = static_cast<std::size_t>(g.get_num_vertices());
 
-  bool const warmable =
+  bool warmable =
       delta.complete && delta.insert_only() && prev.labels.size() == n;
+  for (std::size_t v = 0; warmable && v < n; ++v)
+    warmable = prev.labels[v] >= V{0} &&
+               static_cast<std::size_t>(prev.labels[v]) <= v;
   if (!warmable) {
     auto cold = connected_components(policy, g);
     detail::note_outcome(outcome, false, delta.size(), cold.iterations,
@@ -318,31 +315,17 @@ cc_result<typename G::vertex_type> connected_components_incremental(
 
   cc_result<V> result;
   result.labels = prev.labels;
-  V* const labels = result.labels.data();
+  V* const c = result.labels.data();
+  for (auto const& r : delta.records)
+    if (std::min(r.src, r.dst) >= 0 &&
+        static_cast<std::size_t>(std::max(r.src, r.dst)) < n)
+      detail::cc_link(c, r.src, r.dst);
+  operators::compute_vertices(policy, g,
+                              [c](V v) { detail::cc_compress(c, v); });
 
-  frontier::sparse_frontier<V> f(detail::delta_seeds(
-      delta, n, /*both_endpoints=*/true, [](V) { return true; }));
-
-  auto const stats = enactor::bsp_loop(
-      std::move(f),
-      [&](frontier::sparse_frontier<V> in, std::size_t /*iteration*/) {
-        auto out = operators::neighbors_expand(
-            policy, g, in,
-            [labels](V const src, V const dst, E const /*e*/, W const) {
-              V const l = atomic::load(&labels[src]);
-              return l < atomic::min(&labels[dst], l);
-            });
-        if constexpr (std::decay_t<P>::is_parallel)
-          operators::uniquify(policy, out, n);
-        else
-          operators::uniquify(policy, out);
-        return out;
-      },
-      enactor::frontier_empty{});
-
-  result.iterations = stats.iterations;
+  result.iterations = 1;  // the one link sweep
   result.num_components = detail::count_components(result.labels);
-  detail::note_outcome(outcome, true, delta.size(), stats.iterations,
+  detail::note_outcome(outcome, true, delta.size(), result.iterations,
                        prev.iterations);
   return result;
 }

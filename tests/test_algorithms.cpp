@@ -3,8 +3,11 @@
 // each parallel variant against its serial oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "algorithms/betweenness.hpp"
 #include "algorithms/coloring.hpp"
@@ -15,13 +18,18 @@
 #include "algorithms/spmv.hpp"
 #include "algorithms/triangle_counting.hpp"
 #include "core/execution.hpp"
+#include "core/telemetry.hpp"
 #include "generators/generators.hpp"
+#include "graph/build.hpp"
+#include "graph/compressed.hpp"
 #include "graph/graph.hpp"
+#include "steal_pools.hpp"
 
 namespace alg = essentials::algorithms;
 namespace ex = essentials::execution;
 namespace g = essentials::graph;
 namespace gen = essentials::generators;
+namespace tel = essentials::telemetry;
 using essentials::vertex_t;
 
 namespace {
@@ -127,29 +135,29 @@ TEST(Hits, SeqMatchesPar) {
 
 // --- connected components -------------------------------------------------------
 
-TEST(ConnectedComponents, LabelPropagationMatchesUnionFind) {
+TEST(ConnectedComponents, AfforestMatchesUnionFind) {
   auto const graph = undirected(gen::erdos_renyi(300, 500, {}, 5));
   auto const oracle = alg::connected_components_serial(graph);
-  auto const lp = alg::connected_components(ex::par, graph);
-  EXPECT_EQ(lp.num_components, oracle.num_components);
-  // Same partition: labels agree up to renaming — min-label propagation and
-  // min-union-find both canonicalize to the component minimum.
-  EXPECT_EQ(lp.labels, oracle.labels);
+  auto const cc = alg::connected_components(ex::par, graph);
+  EXPECT_EQ(cc.num_components, oracle.num_components);
+  // Both canonicalize to the component minimum, so labels agree exactly.
+  EXPECT_EQ(cc.labels, oracle.labels);
 }
 
-TEST(ConnectedComponents, HookMatchesUnionFind) {
-  auto const graph = undirected(gen::erdos_renyi(300, 500, {}, 6));
-  auto const oracle = alg::connected_components_serial(graph);
-  auto const hook = alg::connected_components_hook(ex::par, graph);
-  EXPECT_EQ(hook.num_components, oracle.num_components);
-  // Hook labels are roots, not necessarily minima; compare partitions.
-  for (vertex_t u = 0; u < graph.get_num_vertices(); ++u) {
-    for (vertex_t v = u + 1; v < graph.get_num_vertices(); ++v) {
-      EXPECT_EQ(oracle.labels[u] == oracle.labels[v],
-                hook.labels[u] == hook.labels[v])
-          << u << "," << v;
-    }
-  }
+TEST(ConnectedComponents, LinkClimbsDeepTreesAndCompressReachesRoots) {
+  // Two chains deeper than one c[v] = c[c[v]] step reaches:
+  // 3 -> 2 -> 1 -> 0 and 6 -> 5 -> 4.
+  std::vector<vertex_t> c{0, 0, 1, 2, 4, 4, 5};
+  vertex_t* const p = c.data();
+  // The parents of 3 and 6 are not roots, so link climbs to their
+  // grandparents (1 and 4) and hooks root 4 under 1.
+  EXPECT_TRUE(alg::detail::cc_link(p, vertex_t{3}, vertex_t{6}));
+  EXPECT_EQ(c[4], 1);
+  EXPECT_FALSE(alg::detail::cc_link(p, vertex_t{6}, vertex_t{0}));
+  // Deepest first, so no vertex finds its parent already flattened.
+  for (vertex_t v = 6; v >= 0; --v)
+    alg::detail::cc_compress(p, v);
+  EXPECT_EQ(c, std::vector<vertex_t>(7, 0));
 }
 
 TEST(ConnectedComponents, CountsIslandsAndClusters) {
@@ -168,6 +176,124 @@ TEST(ConnectedComponents, CountsIslandsAndClusters) {
   EXPECT_NE(r.labels[0], r.labels[3]);
   EXPECT_EQ(r.labels[5], 5);
 }
+
+namespace {
+
+/// The ConnectedComponentsAllVariants families, all symmetric: a giant
+/// component plus isolated vertices (R-MAT), a mesh, many small components
+/// (sparse Erdos-Renyi), a path whose ids descend along it (every sampled
+/// link extends one chain), a star whose hub has the highest id, and the
+/// degenerate graphs, where sampling must not index into an empty array.
+g::coo_t<> cc_family(std::string const& family) {
+  g::coo_t<> coo;
+  if (family == "rmat") {
+    gen::rmat_options opt;
+    opt.scale = 10;
+    opt.edge_factor = 8;
+    opt.seed = 3;
+    coo = gen::rmat(opt);
+  } else if (family == "grid") {
+    coo = gen::grid_2d(32, 32, {}, 1);
+  } else if (family == "er_sparse") {
+    coo = gen::erdos_renyi(1000, 400, {}, 7);
+  } else if (family == "path_desc") {
+    coo.num_rows = coo.num_cols = 2000;
+    for (vertex_t v = 1999; v > 0; --v)
+      coo.push_back(v, v - 1, 1.f);
+  } else if (family == "star_hub_high") {
+    coo.num_rows = coo.num_cols = 500;
+    for (vertex_t v = 0; v < 499; ++v)
+      coo.push_back(499, v, 1.f);
+  } else {
+    coo.num_rows = coo.num_cols =
+        family == "empty" ? 0 : family == "single" ? 1 : 50;
+  }
+  g::remove_self_loops(coo);
+  g::symmetrize(coo);
+  g::sort_and_deduplicate(coo);
+  return coo;
+}
+
+std::size_t distinct_labels(std::vector<vertex_t> labels) {
+  std::sort(labels.begin(), labels.end());
+  return static_cast<std::size_t>(
+      std::unique(labels.begin(), labels.end()) - labels.begin());
+}
+
+}  // namespace
+
+class ConnectedComponentsAllVariants
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ConnectedComponentsAllVariants, EveryVariantMatchesUnionFind) {
+  std::string const family = GetParam();
+  auto const coo = cc_family(family);
+  auto const csr = g::from_coo<g::graph_csr>(coo);
+  auto const push_pull = g::from_coo<g::graph_push_pull>(coo);
+  g::compressed_graph<> const compressed(g::build_csr(coo));
+  auto const oracle = alg::connected_components_serial(csr);
+  std::size_t const components = distinct_labels(oracle.labels);
+  EXPECT_EQ(oracle.num_components, components) << family;
+
+  essentials::testing::steal_pools pools(4);
+  ex::parallel_policy const on_flat(*pools.flat);
+  ex::parallel_policy const on_tiered(*pools.tiered);
+  auto const check = [&](auto policy, auto const& graph,
+                         std::string const& what) {
+    auto const r = alg::connected_components(policy, graph);
+    EXPECT_EQ(r.labels, oracle.labels) << family << "/" << what;
+    EXPECT_EQ(r.num_components, components) << family << "/" << what;
+    EXPECT_EQ(r.iterations, alg::cc_sampling_rounds + 1)
+        << family << "/" << what;
+  };
+  check(ex::seq, csr, "csr/seq");
+  check(on_flat, csr, "csr/flat");
+  check(on_tiered, csr, "csr/tiered");
+  check(ex::seq, push_pull, "push-pull/seq");
+  check(on_flat, push_pull, "push-pull/flat");
+  check(on_tiered, push_pull, "push-pull/tiered");
+  check(ex::seq, compressed, "compressed/seq");
+  check(on_flat, compressed, "compressed/flat");
+  check(on_tiered, compressed, "compressed/tiered");
+
+  // One superstep per phase, each with its `cc_link` sweep; the sweeps
+  // link no more edges than the graph has, and every successful hook
+  // retires one of the n initial roots, so the hooks add up to
+  // n - components.
+  if (tel::compiled_in) {
+    tel::trace t;
+    {
+      tel::scoped_recording rec(t, "cc");
+      alg::connected_components(on_flat, push_pull);
+    }
+    ASSERT_EQ(t.supersteps.size(), alg::cc_sampling_rounds + 1) << family;
+    std::size_t linked = 0, hooked = 0;
+    for (auto const& step : t.supersteps) {
+      ASSERT_EQ(step.ops.size(), 1u) << family;
+      EXPECT_EQ(step.ops[0].name, "cc_link") << family;
+      linked += step.ops[0].edges_inspected;
+      hooked += step.ops[0].edges_relaxed;
+    }
+    EXPECT_LE(linked, static_cast<std::size_t>(push_pull.get_num_edges()))
+        << family;
+    EXPECT_EQ(hooked, oracle.labels.size() - components) << family;
+  }
+
+  // Lost hooks show up only under some interleavings: repeat the parallel
+  // run on the family with the most contended roots.
+  if (family == "rmat") {
+    for (int rep = 0; rep < 50; ++rep)
+      ASSERT_EQ(alg::connected_components(on_flat, push_pull).labels,
+                oracle.labels)
+          << "repeat " << rep;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, ConnectedComponentsAllVariants,
+                         ::testing::Values("rmat", "grid", "er_sparse",
+                                           "path_desc", "star_hub_high",
+                                           "empty", "single", "isolated"),
+                         [](auto const& info) { return info.param; });
 
 // --- triangle counting ------------------------------------------------------------
 
