@@ -38,18 +38,8 @@ g::coo_t<> load(std::string const& path) {
     return e::io::read_dimacs_file(path);
   if (ext == "graph")
     return e::io::read_metis_file(path);
-  if (ext == "bin") {
-    auto const csr = e::io::read_binary_csr_file(path);
-    g::coo_t<> coo;
-    coo.num_rows = csr.num_rows;
-    coo.num_cols = csr.num_cols;
-    for (e::vertex_t v = 0; v < csr.num_rows; ++v)
-      for (e::edge_t ed = csr.row_offsets[static_cast<std::size_t>(v)];
-           ed < csr.row_offsets[static_cast<std::size_t>(v) + 1]; ++ed)
-        coo.push_back(v, csr.column_indices[static_cast<std::size_t>(ed)],
-                      csr.values[static_cast<std::size_t>(ed)]);
-    return coo;
-  }
+  if (ext == "bin")
+    return g::to_coo(e::io::read_binary_csr_file(path));
   throw e::graph_error("unknown input extension '" + ext + "'");
 }
 

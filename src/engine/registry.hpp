@@ -11,7 +11,7 @@
 /// readers finish on epoch N — the new epoch becomes visible to *new*
 /// lookups instantly, old epochs die when their last reader drops them.
 /// This is RCU-by-shared_ptr, the standard epoch scheme of serving
-/// systems, and it is exactly why `dynamic_graph_t::to_coo()` only needs
+/// systems, and it is exactly why `dynamic_graph_t::snapshot()` only needs
 /// bucket-atomicity: consistency of the *published* graph is this layer's
 /// job, immutability makes it trivial.
 ///
@@ -507,41 +507,6 @@ class graph_registry {
     return (std::filesystem::path(tier_.spill_dir) / buf).string();
   }
 
-  /// Rebuild a full GraphT from a decoded CSR: CSC by transposition, COO
-  /// by expanding row offsets (canonical order is preserved, so all views
-  /// agree exactly as they did at publish time).
-  static GraphT rehydrate(
-      graph::csr_t<typename GraphT::vertex_type, typename GraphT::edge_type,
-                   typename GraphT::weight_type>
-          csr) {
-    using V = typename GraphT::vertex_type;
-    using E = typename GraphT::edge_type;
-    using W = typename GraphT::weight_type;
-    GraphT g;
-    if constexpr (GraphT::has_csc)
-      g.set_csc(graph::transpose_to_csc(csr));
-    if constexpr (GraphT::has_coo) {
-      graph::coo_t<V, E, W> coo;
-      coo.num_rows = csr.num_rows;
-      coo.num_cols = csr.num_cols;
-      std::size_t const m = csr.column_indices.size();
-      coo.row_indices.resize(m);
-      coo.column_indices.assign(csr.column_indices.begin(),
-                                csr.column_indices.end());
-      coo.values.assign(csr.values.begin(), csr.values.end());
-      for (V v = 0; v < csr.num_rows; ++v)
-        for (std::size_t e = static_cast<std::size_t>(
-                 csr.row_offsets[static_cast<std::size_t>(v)]);
-             e < static_cast<std::size_t>(
-                     csr.row_offsets[static_cast<std::size_t>(v) + 1]);
-             ++e)
-          coo.row_indices[e] = v;
-      g.set_coo(std::move(coo));
-    }
-    g.set_csr(std::move(csr));
-    return g;
-  }
-
   /// Page a demoted epoch back in.  Loads outside the lock; installs only
   /// if the slot still holds the same demoted epoch.
   pinned_graph<GraphT> promote(std::string const& name, std::uint64_t epoch,
@@ -556,7 +521,10 @@ class graph_registry {
       io::mapped_graph<V, E, W> mg(path);
       telemetry::op_probe probe("tier.promote", mg.file_bytes(), 0, 0, 0,
                                 false);
-      loaded = std::make_shared<GraphT const>(rehydrate(mg.to_csr()));
+      // The spilled CSR is canonical, so every view of GraphT comes back
+      // exactly as it was published.
+      loaded =
+          std::make_shared<GraphT const>(graph::from_csr<GraphT>(mg.to_csr()));
     }
     std::lock_guard<std::mutex> guard(mutex_);
     auto const it = graphs_.find(name);

@@ -144,31 +144,18 @@ class dynamic_graph_t {
     return static_cast<E>(adjacency_[static_cast<std::size_t>(v)].size());
   }
 
-  /// Materialize the current edge set as a COO (sorted canonical order).
-  /// Safe under concurrent mutation: each bucket is copied under its lock
-  /// (bucket-atomic snapshot; see the header comment for the exact
-  /// guarantee).
-  coo_t<V, E, W> to_coo() const {
-    coo_t<V, E, W> coo;
-    coo.num_rows = coo.num_cols = num_vertices();
-    std::vector<neighbor_t> bucket_copy;
-    for (std::size_t v = 0; v < adjacency_.size(); ++v) {
-      {
-        std::lock_guard<parallel::spinlock> guard(locks_[v]);
-        bucket_copy = adjacency_[v];
-      }
-      for (auto const& nb : bucket_copy)
-        coo.push_back(static_cast<V>(v), nb.vertex, nb.weight);
-    }
-    sort_and_deduplicate(coo);
-    return coo;
-  }
+  /// Materialize the current edge set as a COO (sorted canonical order):
+  /// the snapshot's CSR, expanded.  Safe under concurrent mutation like
+  /// `snapshot`.
+  coo_t<V, E, W> to_coo() const { return graph::to_coo(snapshot_csr()); }
 
   /// Snapshot into any graph_t instantiation — the epoch boundary between
-  /// ingest and analytics.
+  /// ingest and analytics.  Safe under concurrent mutation: each bucket is
+  /// copied under its lock (bucket-atomic snapshot; see the header comment
+  /// for the exact guarantee).
   template <typename GraphT>
   GraphT snapshot() const {
-    return from_coo<GraphT>(to_coo());
+    return from_csr<GraphT>(snapshot_csr());
   }
 
   // --- Epoch publication ----------------------------------------------------
@@ -305,6 +292,33 @@ class dynamic_graph_t {
     std::uint64_t epoch = 0;
     std::vector<delta_record> records;
   };
+
+  /// The canonical CSR of the current edge set.  One serial pass copies
+  /// each bucket under its lock and appends it to the CSR arrays, recording
+  /// row offsets as it goes; then the rows are sorted by column on the
+  /// default pool.  Buckets never hold a destination twice, so no edge is
+  /// dropped and no COO is built.
+  csr_t<V, E, W> snapshot_csr() const {
+    csr_t<V, E, W> csr;
+    csr.num_rows = csr.num_cols = num_vertices();
+    csr.row_offsets.resize(adjacency_.size() + 1);
+    csr.row_offsets[0] = 0;
+    // Writers may change the count before the copy; it is only a hint.
+    std::size_t const hint = num_edges();
+    csr.column_indices.reserve(hint);
+    csr.values.reserve(hint);
+    for (std::size_t v = 0; v < adjacency_.size(); ++v) {
+      std::lock_guard<parallel::spinlock> guard(locks_[v]);
+      for (auto const& nb : adjacency_[v]) {
+        csr.column_indices.push_back(nb.vertex);
+        csr.values.push_back(nb.weight);
+      }
+      csr.row_offsets[v + 1] = static_cast<E>(csr.column_indices.size());
+    }
+    detail::canonicalize_rows(parallel::default_pool(), csr,
+                              duplicate_policy::keep_first);
+    return csr;
+  }
 
   void check(V src, V dst) const {
     expects(src >= 0 && static_cast<std::size_t>(src) < adjacency_.size(),

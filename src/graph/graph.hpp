@@ -288,21 +288,33 @@ using graph_push_pull = graph_t<csr_view<>, csc_view<>>;
 /// Everything retained, including the raw edge list.
 using graph_full = graph_t<csr_view<>, csc_view<>, coo_view<>>;
 
-/// Build a graph_t from an edge list, populating exactly the views the
-/// chosen GraphT inherits.  The COO is sorted/deduplicated first so that all
-/// views agree on the canonical edge order.
+/// Assemble a graph_t from a canonical CSR (rows sorted by column, no
+/// repeated columns), populating exactly the views the chosen GraphT
+/// inherits: CSC by transposition, COO by expanding the row offsets.  All
+/// views list the edges in the same canonical order.
+template <typename GraphT, typename V, typename E, typename W>
+GraphT from_csr(csr_t<V, E, W>&& csr) {
+  GraphT g;
+  if constexpr (GraphT::has_csc)
+    g.set_csc(transpose_to_csc(csr));
+  if constexpr (GraphT::has_coo)
+    g.set_coo(to_coo(csr));
+  if constexpr (GraphT::has_csr)
+    g.set_csr(std::move(csr));
+  return g;
+}
+
+/// Build a graph_t from an edge list in linear time: a counting sort by row
+/// (`build_csr`), then a parallel pass that sorts each row by column and
+/// collapses duplicates by `policy`.  The result is the CSR of the edge list
+/// sorted by (row, column), whatever the input order.
 template <typename GraphT, typename V, typename E, typename W>
 GraphT from_coo(coo_t<V, E, W> coo,
                 duplicate_policy policy = duplicate_policy::keep_first) {
-  sort_and_deduplicate(coo, policy);
-  GraphT g;
-  if constexpr (GraphT::has_csr)
-    g.set_csr(build_csr(coo));
-  if constexpr (GraphT::has_csc)
-    g.set_csc(build_csc(coo));
-  if constexpr (GraphT::has_coo)
-    g.set_coo(std::move(coo));
-  return g;
+  auto csr = build_csr(coo);
+  coo = {};  // release the edge list before the row pass
+  detail::canonicalize_rows(parallel::default_pool(), csr, policy);
+  return from_csr<GraphT>(std::move(csr));
 }
 
 }  // namespace essentials::graph

@@ -1,15 +1,16 @@
 #pragma once
 
 /// \file parallel/sort.hpp
-/// \brief Parallel merge sort on the thread pool — the comparison-sort
-/// primitive behind graph construction (canonical edge ordering) and
-/// frontier uniquify at scale.
+/// \brief Parallel merge sort on the thread pool — the comparison sort
+/// behind degree reordering (graph/reorder.hpp).
 ///
 /// Straightforward blocked design: sort P' chunks in parallel with
 /// std::sort, then merge pairwise in parallel rounds.  O(n log n) work,
 /// O(log chunks) merge rounds, one auxiliary buffer.  Stability is NOT
-/// guaranteed (chunk-local std::sort is unstable); use sort_stable for the
-/// builder paths that must preserve first-occurrence order.
+/// guaranteed (chunk-local std::sort is unstable), so comparators must be
+/// total orders.  Graph construction does not use it: the canonical edge
+/// order comes from a counting sort by row plus a per-row sort
+/// (graph/build.hpp).
 
 #include <algorithm>
 #include <cstddef>
